@@ -1,6 +1,7 @@
 #include "cli/scenarios.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -42,6 +43,17 @@ std::string timeline(const core::Schedule& s) {
   std::string line(static_cast<std::size_t>(s.gamma()), '.');
   for (auto step : s.steps()) line[static_cast<std::size_t>(step)] = '|';
   return line;
+}
+
+/// The standard method and ULBA on `cfg`, in that order. They share the
+/// dynamics: run_all steps them once for both (in-process, unsharded runs)
+/// or runs each method alone.
+std::vector<erosion::RunResult> run_both_methods(
+    const erosion::AppConfig& cfg) {
+  std::array<erosion::AppConfig, 2> pair{cfg, cfg};
+  pair[0].method = erosion::Method::kStandard;
+  pair[1].method = erosion::Method::kUlba;
+  return erosion::run_all(pair);
 }
 
 }  // namespace
@@ -142,10 +154,9 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   mini.ranks = ranks;
   mini.partitioner = partitioner;
   mini.validate();
-  mini.method = erosion::Method::kStandard;
-  const erosion::RunResult mini_std = erosion::ErosionApp(mini).run();
-  mini.method = erosion::Method::kUlba;
-  const erosion::RunResult mini_ulba = erosion::ErosionApp(mini).run();
+  const std::vector<erosion::RunResult> mini_runs = run_both_methods(mini);
+  const erosion::RunResult& mini_std = mini_runs[0];
+  const erosion::RunResult& mini_ulba = mini_runs[1];
   out << "\nin practice (mini erosion run: 16 PEs, seed " << mini.seed
       << ", " << threads << " thread(s)";
   if (shards > 1) out << ", " << shards << " shards via " << partitioner;
@@ -425,10 +436,9 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   }
   out << "\n";
 
-  cfg.method = erosion::Method::kStandard;
-  const erosion::RunResult std_run = erosion::ErosionApp(cfg).run();
-  cfg.method = erosion::Method::kUlba;
-  const erosion::RunResult ulba_run = erosion::ErosionApp(cfg).run();
+  const std::vector<erosion::RunResult> runs = run_both_methods(cfg);
+  const erosion::RunResult& std_run = runs[0];
+  const erosion::RunResult& ulba_run = runs[1];
 
   const auto report = [&out](const char* name, const erosion::RunResult& r) {
     out << name << "\n"

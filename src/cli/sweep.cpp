@@ -385,24 +385,33 @@ std::vector<std::vector<double>> dynamic_alpha_grid(
     std::span<const std::uint64_t> seeds, std::int64_t iterations) {
   ULBA_REQUIRE(!variants.empty() && !rock_counts.empty() && !seeds.empty(),
                "dynamic-alpha sweep needs variants, rock counts, and seeds");
+  // Every variant of one (rock count, seed) shares the erosion dynamics, so
+  // erosion::run_all steps them once per case.
   struct Case {
-    std::size_t variant;
     std::size_t rock_idx;
     std::uint64_t seed;
   };
   std::vector<Case> cases;
-  for (std::size_t v = 0; v < variants.size(); ++v)
-    for (std::size_t ri = 0; ri < rock_counts.size(); ++ri)
-      for (const std::uint64_t s : seeds) cases.push_back({v, ri, s});
+  for (std::size_t ri = 0; ri < rock_counts.size(); ++ri)
+    for (const std::uint64_t s : seeds) cases.push_back({ri, s});
   const auto results = parallel_map(cases.size(), [&](std::size_t i) {
-    erosion::AppConfig cfg =
-        scaled_app_config(pe_count, rock_counts[cases[i].rock_idx],
-                          erosion::Method::kUlba, cases[i].seed);
-    if (iterations > 0) cfg.iterations = iterations;
-    cfg.alpha = variants[cases[i].variant].alpha;
-    cfg.alpha_policy = variants[cases[i].variant].policy;
-    cfg.oracle_wir = variants[cases[i].variant].oracle_wir;
-    return erosion::ErosionApp(cfg).run().total_seconds;
+    std::vector<erosion::AppConfig> configs;
+    configs.reserve(variants.size());
+    for (const AlphaVariant& variant : variants) {
+      erosion::AppConfig cfg =
+          scaled_app_config(pe_count, rock_counts[cases[i].rock_idx],
+                            erosion::Method::kUlba, cases[i].seed);
+      if (iterations > 0) cfg.iterations = iterations;
+      cfg.alpha = variant.alpha;
+      cfg.alpha_policy = variant.policy;
+      cfg.oracle_wir = variant.oracle_wir;
+      configs.push_back(cfg);
+    }
+    std::vector<double> totals;
+    totals.reserve(configs.size());
+    for (const erosion::RunResult& r : erosion::run_all(configs))
+      totals.push_back(r.total_seconds);
+    return totals;
   });
 
   std::vector<std::vector<double>> medians(
@@ -411,8 +420,7 @@ std::vector<std::vector<double>> dynamic_alpha_grid(
     for (std::size_t ri = 0; ri < rock_counts.size(); ++ri) {
       std::vector<double> xs;
       for (std::size_t i = 0; i < cases.size(); ++i)
-        if (cases[i].variant == v && cases[i].rock_idx == ri)
-          xs.push_back(results[i]);
+        if (cases[i].rock_idx == ri) xs.push_back(results[i][v]);
       medians[v][ri] = support::median(xs);
     }
   }

@@ -1,5 +1,7 @@
 #include "core/detector.hpp"
 
+#include <algorithm>
+
 #include "support/require.hpp"
 #include "support/stats.hpp"
 
@@ -16,18 +18,22 @@ bool OverloadDetector::is_overloading(double own_wir,
 }
 
 std::vector<bool> OverloadDetector::flags(std::span<const double> all) const {
-  std::vector<bool> out(all.size());
+  // The population statistics once for all members, in the same arithmetic
+  // as support::z_score, so every flag equals is_overloading bit for bit.
+  std::vector<bool> out(all.size(), false);
+  if (all.empty()) return out;
+  const double sd = support::stddev_population(all);
+  if (sd == 0.0) return out;
+  const double mu = support::mean(all);
   for (std::size_t i = 0; i < all.size(); ++i)
-    out[i] = is_overloading(all[i], all);
+    out[i] = (all[i] - mu) / sd > threshold_;
   return out;
 }
 
 std::int64_t OverloadDetector::count_overloading(
     std::span<const double> all) const {
-  std::int64_t n = 0;
-  for (double w : all)
-    if (is_overloading(w, all)) ++n;
-  return n;
+  const std::vector<bool> f = flags(all);
+  return static_cast<std::int64_t>(std::count(f.begin(), f.end(), true));
 }
 
 }  // namespace ulba::core

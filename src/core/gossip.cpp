@@ -1,6 +1,7 @@
 #include "core/gossip.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "support/require.hpp"
 
@@ -37,19 +38,23 @@ void GossipNetwork::observe_oracle(std::int64_t pe, double wir,
 }
 
 void GossipNetwork::step(support::Rng& rng) {
-  // Merge against the pre-round snapshot: all messages of a round carry the
-  // state each PE had when the round began.
-  const std::vector<WirDatabase> snapshot = dbs_;
+  // Every push carries its source's pre-round state, kept copy-on-write:
+  // saved[pe] holds PE pe's pre-round database only from the first write
+  // that precedes its own push turn until that turn is over.
   const auto n = static_cast<std::size_t>(pe_count());
+  std::vector<std::optional<WirDatabase>> saved(n);
   for (std::size_t src = 0; src < n; ++src) {
+    const WirDatabase& pushed = saved[src] ? *saved[src] : dbs_[src];
     // `fanout` distinct targets other than src: sample from n−1 slots and
     // skip over src.
     const auto picks = rng.sample_without_replacement(
         n - 1, static_cast<std::size_t>(fanout_));
     for (std::size_t slot : picks) {
       const std::size_t dst = slot >= src ? slot + 1 : slot;
-      dbs_[dst].merge_from(snapshot[src]);
+      if (dst > src && !saved[dst]) saved[dst].emplace(dbs_[dst]);
+      dbs_[dst].merge_from(pushed);
     }
+    saved[src].reset();
   }
 }
 

@@ -42,9 +42,13 @@ class GossipNetwork {
 
   /// One dissemination round: every PE pushes its database to `fanout`
   /// distinct random peers (≠ itself). Target selection draws from `rng`;
-  /// merges are applied against the pre-round snapshot so the round is
-  /// order-independent (a bulk-synchronous exchange, as on a real machine
-  /// where all sends happen before any receive of the same superstep).
+  /// every push carries the state its source had when the round began, so
+  /// the round is order-independent (a bulk-synchronous exchange, as on a
+  /// real machine where all sends happen before any receive of the same
+  /// superstep). The pre-round state is kept copy-on-write: a database is
+  /// saved only when it is written before its own push turn, and the copy
+  /// is dropped once it has pushed — a round copies a fraction of the P
+  /// databases, not all of them.
   void step(support::Rng& rng);
 
   /// Rounds taken until every database knows every PE (useful for the gossip

@@ -9,6 +9,11 @@
 // Merging two databases keeps the fresher entry per PE — exactly the rumor-
 // mongering merge of epidemic/gossip protocols (Demers et al.). The principle
 // of persistence makes slightly stale entries acceptable.
+//
+// Storage is structure-of-arrays: a `double` WIR plus an `int32` stamp per
+// PE, 12 bytes per entry. A gossip network holds P such databases, so the
+// P×P store is the dominant memory of a many-PE run. Stamps above INT32_MAX
+// are rejected rather than wrapped.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +36,15 @@ class WirDatabase {
   explicit WirDatabase(std::int64_t pe_count);
 
   [[nodiscard]] std::int64_t pe_count() const noexcept {
-    return static_cast<std::int64_t>(entries_.size());
+    return static_cast<std::int64_t>(stamps_.size());
   }
 
-  /// Record a locally measured WIR for `pe` at `iteration`. Overwrites only
-  /// if at least as fresh as the stored entry.
+  /// Record a locally measured WIR for `pe` at `iteration` (in
+  /// [0, INT32_MAX]). Overwrites only if at least as fresh as the stored
+  /// entry.
   void update(std::int64_t pe, double wir, std::int64_t iteration);
 
-  [[nodiscard]] const Entry& entry(std::int64_t pe) const;
+  [[nodiscard]] Entry entry(std::int64_t pe) const;
 
   /// Epidemic merge: adopt every entry of `other` that is strictly fresher
   /// than ours. Returns the number of entries adopted.
@@ -46,7 +52,7 @@ class WirDatabase {
 
   /// All WIR values, with 0.0 for still-unknown PEs — the distribution the
   /// z-score overload detector runs on.
-  [[nodiscard]] std::vector<double> wirs() const;
+  [[nodiscard]] std::vector<double> wirs() const { return wirs_; }
 
   /// Number of PEs whose WIR is still unknown.
   [[nodiscard]] std::int64_t unknown_count() const noexcept;
@@ -56,7 +62,8 @@ class WirDatabase {
   [[nodiscard]] std::int64_t max_staleness(std::int64_t now) const noexcept;
 
  private:
-  std::vector<Entry> entries_;
+  std::vector<double> wirs_;          ///< 0.0 while the entry is unknown
+  std::vector<std::int32_t> stamps_;  ///< kUnknown until first observed
 };
 
 }  // namespace ulba::core

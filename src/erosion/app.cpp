@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -198,7 +200,8 @@ class LbController {
         lb_cost_(prior_lb_cost(config, columns)),
         boundaries_(lb::even_partition(columns, config.pe_count)),
         // Gossip traffic per iteration: each PE pushes its P-entry database
-        // (16 bytes per entry) to `fanout` peers; pushes proceed
+        // (modeled at 16 bytes per entry on the wire, whatever the
+        // in-memory layout) to `fanout` peers; pushes proceed
         // concurrently, so one PE's cost is its own `fanout` sends. The
         // oracle reference pays nothing — it models perfect knowledge, not
         // a protocol.
@@ -665,6 +668,152 @@ RunResult run_distributed(const AppConfig& config,
   return result;
 }
 
+/// The domain a config describes: pe_count discs of the given radius,
+/// centered in each initial stripe, `strong_rock_count` of them strongly
+/// erodible (chosen by the placement stream of `seed`).
+DomainConfig domain_of(const AppConfig& config) {
+  // Placement stream: which discs are strongly erodible. "It is not known in
+  // advance where the rocks with a high eroding probability are located."
+  support::Rng placement = support::Rng(config.seed).fork(0);
+  const auto strong = placement.sample_without_replacement(
+      static_cast<std::size_t>(config.pe_count),
+      static_cast<std::size_t>(config.strong_rock_count));
+  std::vector<bool> is_strong(static_cast<std::size_t>(config.pe_count),
+                              false);
+  for (std::size_t s : strong) is_strong[s] = true;
+
+  DomainConfig d;
+  d.columns = config.columns();
+  d.rows = config.rows;
+  d.flop_per_cell = config.flop_per_cell;
+  d.bytes_per_cell = config.bytes_per_cell;
+  d.discs.reserve(static_cast<std::size_t>(config.pe_count));
+  for (std::int64_t i = 0; i < config.pe_count; ++i) {
+    RockDisc disc;
+    disc.cx = i * config.columns_per_pe + config.columns_per_pe / 2;
+    disc.cy = config.rows / 2;
+    disc.radius = config.rock_radius;
+    disc.erosion_prob = is_strong[static_cast<std::size_t>(i)]
+                            ? config.strong_probability
+                            : config.weak_probability;
+    d.discs.push_back(disc);
+  }
+  d.validate();
+  return d;
+}
+
+/// The lockstep grouping rule of run_all: both configs step in-process and
+/// unsharded, and every input of their dynamics — the domain, the seed,
+/// the RNG kind, the horizon and the stepping threads — is equal.
+bool shares_dynamics(const AppConfig& a, const AppConfig& b) {
+  const auto in_process = [](const AppConfig& c) {
+    return c.shards == 1 && c.ranks == 1;
+  };
+  return in_process(a) && in_process(b) && a.pe_count == b.pe_count &&
+         a.columns_per_pe == b.columns_per_pe && a.rows == b.rows &&
+         a.rock_radius == b.rock_radius &&
+         a.strong_rock_count == b.strong_rock_count &&
+         a.weak_probability == b.weak_probability &&
+         a.strong_probability == b.strong_probability &&
+         a.flop_per_cell == b.flop_per_cell &&
+         a.bytes_per_cell == b.bytes_per_cell && a.seed == b.seed &&
+         a.rng_kind == b.rng_kind && a.iterations == b.iterations &&
+         a.threads == b.threads;
+}
+
+/// The in-process run (ranks == 1) of one lockstep group: a single domain
+/// steps the shared dynamics once per iteration, and every config's
+/// LbController observes and balances against it. A sharded config
+/// (shards > 1) is always a group of one — the re-shard follows its own
+/// controller's LB steps. Results come back in group order.
+std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
+  const AppConfig& lead = *group.front();
+  // Independent streams: the dynamics stream must not depend on LB decisions
+  // so every variant sees identical erosion for one seed. The counter kind
+  // keys off the same forked sub-seed (its draws are position-addressed, so
+  // the seed is all it consumes from the stream machinery).
+  support::Rng dynamics_rng = support::Rng(lead.seed).fork(1);
+  const std::uint64_t dynamics_seed = dynamics_rng.seed();
+  const bool counter = lead.rng_kind == RngKind::kCounter;
+  const DomainConfig domain_config = domain_of(lead);
+
+  // One partitioner per config serves both its centralized LB technique's
+  // cuts and — sharded runs only — the host-side disc-to-shard assignment.
+  std::deque<LbController> ctls;
+  std::shared_ptr<const lb::Partitioner> lead_partitioner;
+  for (const AppConfig* config : group) {
+    std::shared_ptr<const lb::Partitioner> partitioner(
+        lb::make_partitioner(config->partitioner));
+    if (!lead_partitioner) lead_partitioner = partitioner;
+    ctls.emplace_back(*config, std::move(partitioner), domain_config.columns);
+  }
+
+  // shards == 1 keeps the historical unsharded paths (and their RNG
+  // trajectories); shards > 1 steps through ShardedDomain, whose trajectory
+  // is bit-identical to the serial shared-stream stepper regardless of the
+  // shard/thread counts.
+  std::optional<ErosionDomain> plain;
+  std::optional<ShardedDomain> sharded;
+  if (lead.shards > 1)
+    sharded.emplace(domain_config, lead.shards, lead_partitioner);
+  else
+    plain.emplace(domain_config);
+  const ErosionDomain& domain = sharded ? sharded->domain() : *plain;
+
+  // Dynamics stepping: serial shared-stream below 2 threads, per-disc
+  // substreams on a pool otherwise (see AppConfig::threads).
+  std::optional<support::ThreadPool> pool;
+  if (lead.threads > 1) pool.emplace(static_cast<std::size_t>(lead.threads));
+
+  for (std::int64_t iter = 0; iter < lead.iterations; ++iter) {
+    for (LbController& ctl : ctls) ctl.observe(iter, domain.column_weights());
+
+    // --- application dynamics (independent of every LB decision)
+    if (counter) {
+      support::ThreadPool* p = pool ? &*pool : nullptr;
+      if (sharded)
+        sharded->step_counter(dynamics_seed, iter, p);
+      else
+        plain->step_counter(dynamics_seed, iter, p);
+    } else if (sharded) {
+      if (pool)
+        sharded->step(dynamics_rng, *pool);
+      else
+        sharded->step(dynamics_rng);
+    } else if (pool) {
+      plain->step(dynamics_rng, *pool);
+    } else {
+      plain->step(dynamics_rng);
+    }
+
+    const double total_workload = domain.total_workload();
+    std::optional<std::vector<double>> bytes;  // shared by this iteration's LBs
+    for (LbController& ctl : ctls) {
+      if (ctl.should_balance(iter, total_workload)) {
+        if (!bytes) bytes = domain.column_bytes();
+        ctl.balance(iter, domain.column_weights(), *bytes, total_workload);
+        if (sharded) {
+          // Re-shard the host-side stepping against the freshly balanced
+          // weights — the boundary workload deltas move with the LB step.
+          // The trajectory is shard-invariant, so this only affects host
+          // parallelism and the reported migration accounting.
+          const ReshardResult reshard = sharded->rebalance();
+          ctl.result().shard_discs_moved += reshard.discs_moved;
+          ctl.result().shard_migration_bytes += reshard.migration.total_bytes;
+        }
+      }
+      ctl.end_iteration();
+    }
+  }
+
+  std::vector<RunResult> results;
+  results.reserve(ctls.size());
+  for (LbController& ctl : ctls)
+    results.push_back(
+        ctl.take_result(domain.column_weights(), domain.eroded_cells()));
+  return results;
+}
+
 }  // namespace
 
 void AppConfig::validate() const {
@@ -682,6 +831,8 @@ void AppConfig::validate() const {
                    strong_probability >= 0.0 && strong_probability <= 1.0,
                "erosion probabilities must lie in [0, 1]");
   ULBA_REQUIRE(iterations >= 1, "need at least one iteration");
+  ULBA_REQUIRE(iterations <= std::numeric_limits<std::int32_t>::max(),
+               "iterations must fit the 32-bit WIR stamps");
   ULBA_REQUIRE(flops > 0.0, "PE speed must be positive");
   ULBA_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must lie in [0, 1]");
   ULBA_REQUIRE(gossip_fanout >= 1 && gossip_fanout < pe_count,
@@ -744,111 +895,40 @@ ErosionApp::ErosionApp(AppConfig config) : config_(config) {
 }
 
 DomainConfig ErosionApp::make_domain() const {
-  // Placement stream: which discs are strongly erodible. "It is not known in
-  // advance where the rocks with a high eroding probability are located."
-  support::Rng placement = support::Rng(config_.seed).fork(0);
-  const auto strong = placement.sample_without_replacement(
-      static_cast<std::size_t>(config_.pe_count),
-      static_cast<std::size_t>(config_.strong_rock_count));
-  std::vector<bool> is_strong(static_cast<std::size_t>(config_.pe_count),
-                              false);
-  for (std::size_t s : strong) is_strong[s] = true;
-
-  DomainConfig d;
-  d.columns = config_.columns();
-  d.rows = config_.rows;
-  d.flop_per_cell = config_.flop_per_cell;
-  d.bytes_per_cell = config_.bytes_per_cell;
-  d.discs.reserve(static_cast<std::size_t>(config_.pe_count));
-  for (std::int64_t i = 0; i < config_.pe_count; ++i) {
-    RockDisc disc;
-    disc.cx = i * config_.columns_per_pe + config_.columns_per_pe / 2;
-    disc.cy = config_.rows / 2;
-    disc.radius = config_.rock_radius;
-    disc.erosion_prob = is_strong[static_cast<std::size_t>(i)]
-                            ? config_.strong_probability
-                            : config_.weak_probability;
-    d.discs.push_back(disc);
-  }
-  d.validate();
-  return d;
+  return domain_of(config_);
 }
 
 RunResult ErosionApp::run() const {
-  // ranks > 1: the same machinery over the SPMD runtime (real messages),
-  // bit-identical by construction — see run_distributed/LbController.
-  if (config_.ranks > 1) return run_distributed(config_, make_domain());
+  return run_all(std::span<const AppConfig>(&config_, 1)).front();
+}
 
-  // Independent streams: the dynamics stream must not depend on LB decisions
-  // so both methods see identical erosion for one seed. The counter kind
-  // keys off the same forked sub-seed (its draws are position-addressed, so
-  // the seed is all it consumes from the stream machinery).
-  support::Rng dynamics_rng = support::Rng(config_.seed).fork(1);
-  const std::uint64_t dynamics_seed = dynamics_rng.seed();
-  const bool counter = config_.rng_kind == RngKind::kCounter;
-
-  // One partitioner serves both the centralized LB technique's cuts and the
-  // host-side disc-to-shard assignment of the sharded stepper.
-  const std::shared_ptr<const lb::Partitioner> partitioner(
-      lb::make_partitioner(config_.partitioner));
-  // shards == 1 keeps the historical unsharded paths (and their RNG
-  // trajectories); shards > 1 steps through ShardedDomain, whose trajectory
-  // is bit-identical to the serial shared-stream stepper regardless of the
-  // shard/thread counts.
-  std::optional<ErosionDomain> plain;
-  std::optional<ShardedDomain> sharded;
-  if (config_.shards > 1)
-    sharded.emplace(make_domain(), config_.shards, partitioner);
-  else
-    plain.emplace(make_domain());
-  const ErosionDomain& domain = sharded ? sharded->domain() : *plain;
-
-  LbController ctl(config_, partitioner, domain.columns());
-
-  // Dynamics stepping: serial shared-stream below 2 threads, per-disc
-  // substreams on a pool otherwise (see AppConfig::threads).
-  std::optional<support::ThreadPool> pool;
-  if (config_.threads > 1)
-    pool.emplace(static_cast<std::size_t>(config_.threads));
-
-  for (std::int64_t iter = 0; iter < config_.iterations; ++iter) {
-    ctl.observe(iter, domain.column_weights());
-
-    // --- application dynamics (independent of every LB decision)
-    if (counter) {
-      support::ThreadPool* p = pool ? &*pool : nullptr;
-      if (sharded)
-        sharded->step_counter(dynamics_seed, iter, p);
-      else
-        plain->step_counter(dynamics_seed, iter, p);
-    } else if (sharded) {
-      if (pool)
-        sharded->step(dynamics_rng, *pool);
-      else
-        sharded->step(dynamics_rng);
-    } else if (pool) {
-      plain->step(dynamics_rng, *pool);
-    } else {
-      plain->step(dynamics_rng);
+std::vector<RunResult> run_all(std::span<const AppConfig> configs) {
+  for (const AppConfig& c : configs) c.validate();
+  std::vector<RunResult> results(configs.size());
+  std::vector<std::uint8_t> grouped(configs.size(), 0);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (grouped[i] != 0) continue;
+    // ranks > 1: the same machinery over the SPMD runtime (real messages),
+    // bit-identical by construction — see run_distributed/LbController.
+    if (configs[i].ranks > 1) {
+      results[i] = run_distributed(configs[i], domain_of(configs[i]));
+      continue;
     }
-
-    if (ctl.should_balance(iter, domain.total_workload())) {
-      ctl.balance(iter, domain.column_weights(), domain.column_bytes(),
-                  domain.total_workload());
-      if (sharded) {
-        // Re-shard the host-side stepping against the freshly balanced
-        // weights — the boundary workload deltas move with the LB step. The
-        // trajectory is shard-invariant, so this only affects host
-        // parallelism and the reported migration accounting.
-        const ReshardResult reshard = sharded->rebalance();
-        ctl.result().shard_discs_moved += reshard.discs_moved;
-        ctl.result().shard_migration_bytes += reshard.migration.total_bytes;
+    std::vector<std::size_t> members{i};
+    for (std::size_t j = i + 1; j < configs.size(); ++j) {
+      if (grouped[j] == 0 && shares_dynamics(configs[i], configs[j])) {
+        members.push_back(j);
+        grouped[j] = 1;
       }
     }
-    ctl.end_iteration();
+    std::vector<const AppConfig*> group;
+    group.reserve(members.size());
+    for (const std::size_t m : members) group.push_back(&configs[m]);
+    std::vector<RunResult> group_results = run_in_process(group);
+    for (std::size_t k = 0; k < members.size(); ++k)
+      results[members[k]] = std::move(group_results[k]);
   }
-
-  return ctl.take_result(domain.column_weights(), domain.eroded_cells());
+  return results;
 }
 
 }  // namespace ulba::erosion

@@ -13,12 +13,20 @@
 //   * Method::kUlba     — ULBA with a user-defined α (overloading PEs are
 //     underloaded per Algorithm 2).
 //
-// Both methods see bit-identical erosion dynamics for a given seed (the
-// dynamics stream is independent of LB decisions), so time differences are
-// attributable to load balancing alone.
+// The erosion dynamics never depend on LB decisions: the dynamics stream is
+// keyed by the seed, never by an LB outcome, so every LB variant of one
+// problem sees bit-identical erosion and time differences are attributable
+// to load balancing alone. `run_all` exploits this lockstep contract: it
+// steps the dynamics of a group of configs ONCE and drives one LbController
+// per config against the shared column weights. Configs share a group when
+// their make_domain() inputs, seed, RNG kind, iterations and threads are
+// equal and all of them step in-process unsharded (shards == 1, ranks == 1).
+// Every other config runs alone. Each result equals a solo run of its
+// config bit for bit.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -370,5 +378,12 @@ class ErosionApp {
  private:
   AppConfig config_;
 };
+
+/// Run every config (each validated first); results come back in input
+/// order, each equal to `ErosionApp(config).run()`. Configs whose dynamics
+/// are identical (see the header comment) step in lockstep on one domain;
+/// distributed and sharded configs run alone.
+[[nodiscard]] std::vector<RunResult> run_all(
+    std::span<const AppConfig> configs);
 
 }  // namespace ulba::erosion

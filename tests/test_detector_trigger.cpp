@@ -6,6 +6,7 @@
 #include "core/detector.hpp"
 #include "core/trigger.hpp"
 #include "erosion/app.hpp"
+#include "support/rng.hpp"
 
 namespace ulba::core {
 namespace {
@@ -57,6 +58,32 @@ TEST(Detector, UnderloadedOutlierIsNotOverloading) {
   wirs[5] = 0.0;  // negative z-score
   const OverloadDetector det(3.0);
   EXPECT_FALSE(det.is_overloading(wirs[5], wirs));
+}
+
+TEST(Detector, FlagsMatchThePerMemberTest) {
+  // flags/count_overloading compute the population statistics once; every
+  // flag must still equal is_overloading, zero-spread populations included.
+  support::Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<double> wirs(static_cast<std::size_t>(rng.uniform_int(1, 64)));
+    const bool flat = rng.uniform_int(0, 9) == 0;
+    for (double& w : wirs)
+      w = flat ? 2.5
+               : (rng.uniform_int(0, 7) == 0 ? rng.uniform(0.0, 100.0)
+                                             : rng.uniform(0.0, 1.0));
+    const OverloadDetector det(rng.uniform(0.5, 3.0));
+    const std::vector<bool> flags = det.flags(wirs);
+    std::int64_t count = 0;
+    for (std::size_t i = 0; i < wirs.size(); ++i) {
+      const bool expected = det.is_overloading(wirs[i], wirs);
+      EXPECT_EQ(flags[i], expected) << "trial " << trial << ", member " << i;
+      count += expected ? 1 : 0;
+    }
+    EXPECT_EQ(det.count_overloading(wirs), count) << "trial " << trial;
+  }
+  const OverloadDetector det;
+  EXPECT_TRUE(det.flags({}).empty());
+  EXPECT_EQ(det.count_overloading({}), 0);
 }
 
 TEST(Detector, RejectsBadInput) {

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 namespace ulba::erosion {
 namespace {
@@ -43,6 +47,13 @@ TEST(AppConfig, ValidationCatchesBadSetups) {
   c = small_config(Method::kStandard);
   c.alpha = 1.2;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+
+  // Iteration stamps of the WIR databases are 32-bit.
+  c = small_config(Method::kStandard);
+  c.iterations = std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.iterations = std::numeric_limits<std::int32_t>::max();
+  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(App, MakeDomainPlacesOneDiscPerStripe) {
@@ -154,6 +165,155 @@ TEST(App, LbIterationsAreMarkedInTheTrace) {
     ASSERT_LT(it, static_cast<std::int64_t>(r.iterations.size()));
     EXPECT_TRUE(r.iterations[static_cast<std::size_t>(it)].lb_performed);
   }
+}
+
+/// Every RunResult field, per-iteration records included, bit for bit.
+void expect_same_result(const RunResult& got, const RunResult& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.total_seconds, want.total_seconds) << what;
+  EXPECT_EQ(got.compute_seconds, want.compute_seconds) << what;
+  EXPECT_EQ(got.lb_seconds, want.lb_seconds) << what;
+  EXPECT_EQ(got.lb_count, want.lb_count) << what;
+  EXPECT_EQ(got.fallback_count, want.fallback_count) << what;
+  EXPECT_EQ(got.average_utilization, want.average_utilization) << what;
+  EXPECT_EQ(got.eroded_cells, want.eroded_cells) << what;
+  EXPECT_EQ(got.final_imbalance, want.final_imbalance) << what;
+  EXPECT_EQ(got.lb_iterations, want.lb_iterations) << what;
+  EXPECT_EQ(got.lb_alphas, want.lb_alphas) << what;
+  EXPECT_EQ(got.shard_discs_moved, want.shard_discs_moved) << what;
+  EXPECT_EQ(got.shard_migration_bytes, want.shard_migration_bytes) << what;
+  EXPECT_EQ(got.rank_discs_moved, want.rank_discs_moved) << what;
+  EXPECT_EQ(got.rank_migration_bytes, want.rank_migration_bytes) << what;
+  EXPECT_EQ(got.rank_observed_bytes, want.rank_observed_bytes) << what;
+  EXPECT_EQ(got.rank_step_messages, want.rank_step_messages) << what;
+  EXPECT_EQ(got.rank_step_bytes, want.rank_step_bytes) << what;
+  EXPECT_EQ(got.rank_fractional_imbalance, want.rank_fractional_imbalance)
+      << what;
+  EXPECT_EQ(got.grid_tuner_iterations, want.grid_tuner_iterations) << what;
+  const MeasuredTimes& gm = got.measured;
+  const MeasuredTimes& wm = want.measured;
+  EXPECT_EQ(gm.wall_seconds, wm.wall_seconds) << what;
+  EXPECT_EQ(gm.compute_seconds, wm.compute_seconds) << what;
+  EXPECT_EQ(gm.lb_seconds, wm.lb_seconds) << what;
+  EXPECT_EQ(gm.migration_seconds, wm.migration_seconds) << what;
+  EXPECT_EQ(gm.utilization, wm.utilization) << what;
+  EXPECT_EQ(gm.iteration_seconds, wm.iteration_seconds) << what;
+  EXPECT_EQ(gm.degradation, wm.degradation) << what;
+  EXPECT_EQ(gm.fli, wm.fli) << what;
+  EXPECT_EQ(gm.lb_step_seconds, wm.lb_step_seconds) << what;
+  ASSERT_EQ(got.iterations.size(), want.iterations.size()) << what;
+  for (std::size_t i = 0; i < got.iterations.size(); ++i) {
+    const IterationRecord& g = got.iterations[i];
+    const IterationRecord& w = want.iterations[i];
+    ASSERT_EQ(g.seconds, w.seconds) << what << ", iteration " << i;
+    ASSERT_EQ(g.utilization, w.utilization) << what << ", iteration " << i;
+    ASSERT_EQ(g.lb_performed, w.lb_performed) << what << ", iteration " << i;
+    ASSERT_EQ(g.degradation, w.degradation) << what << ", iteration " << i;
+    ASSERT_EQ(g.threshold, w.threshold) << what << ", iteration " << i;
+  }
+}
+
+/// LB variants of one problem that share its dynamics: methods, α values,
+/// α policies, triggers, oracle dissemination and partitioners.
+std::vector<AppConfig> lb_variants(RngKind rng, std::int64_t threads) {
+  AppConfig base = small_config(Method::kStandard, 2, 3);
+  base.rng_kind = rng;
+  base.threads = threads;
+  base.bytes_per_cell = 256.0;
+  base.comm.latency_s = 1e-4;
+  base.comm.bandwidth_Bps = 2e9;
+  std::vector<AppConfig> out;
+  out.push_back(base);  // the standard method
+  for (const double alpha : {0.2, 0.4, 0.8}) {
+    AppConfig c = base;
+    c.method = Method::kUlba;
+    c.alpha = alpha;
+    out.push_back(c);
+  }
+  for (const AlphaPolicy policy :
+       {AlphaPolicy::kGossipFraction, AlphaPolicy::kGossipModel}) {
+    AppConfig c = base;
+    c.method = Method::kUlba;
+    c.alpha_policy = policy;
+    out.push_back(c);
+  }
+  AppConfig periodic = base;
+  periodic.trigger_mode = TriggerMode::kPeriodic;
+  periodic.lb_period = 25;
+  out.push_back(periodic);
+  AppConfig never = base;
+  never.method = Method::kUlba;
+  never.trigger_mode = TriggerMode::kNever;
+  out.push_back(never);
+  AppConfig oracle = base;
+  oracle.method = Method::kUlba;
+  oracle.oracle_wir = true;
+  out.push_back(oracle);
+  for (const char* name : {"rcb", "optimal"}) {
+    AppConfig c = base;
+    c.method = Method::kUlba;
+    c.partitioner = name;
+    out.push_back(c);
+  }
+  return out;
+}
+
+TEST(RunAll, LockstepGroupMatchesSoloRuns) {
+  for (const RngKind rng : {RngKind::kFork, RngKind::kCounter}) {
+    for (const std::int64_t threads : {1, 3}) {
+      const std::vector<AppConfig> configs = lb_variants(rng, threads);
+      const std::vector<RunResult> group = run_all(configs);
+      ASSERT_EQ(group.size(), configs.size());
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        const std::string what = "rng " + rng_kind_name(rng) + ", threads " +
+                                 std::to_string(threads) + ", variant " +
+                                 std::to_string(i);
+        const RunResult solo = ErosionApp(configs[i]).run();
+        expect_same_result(group[i], solo, what);
+      }
+      // The variants really differ: the group is not one result copied.
+      EXPECT_GE(group[0].lb_count, 1);
+      EXPECT_EQ(group[7].lb_count, 0);  // the never trigger
+      std::vector<double> totals;
+      for (const RunResult& r : group) totals.push_back(r.total_seconds);
+      std::sort(totals.begin(), totals.end());
+      EXPECT_GE(std::unique(totals.begin(), totals.end()) - totals.begin(), 4);
+    }
+  }
+}
+
+TEST(RunAll, MixedListKeepsInputOrder) {
+  // Two seeds interleaved, plus a distributed and a sharded config that
+  // run alone: every result must equal its solo run, in input order.
+  std::vector<AppConfig> configs;
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}}) {
+    for (const Method m : {Method::kStandard, Method::kUlba})
+      configs.push_back(small_config(m, 1, seed));
+  }
+  std::swap(configs[1], configs[2]);  // seed order 1, 2, 1, 2
+  AppConfig distributed = small_config(Method::kUlba, 1, 1);
+  distributed.ranks = 2;
+  configs.insert(configs.begin() + 1, distributed);
+  AppConfig sharded = small_config(Method::kStandard, 1, 2);
+  sharded.shards = 2;
+  configs.push_back(sharded);
+
+  const std::vector<RunResult> results = run_all(configs);
+  ASSERT_EQ(results.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i)
+    expect_same_result(results[i], ErosionApp(configs[i]).run(),
+                       "entry " + std::to_string(i));
+  // Distributed and sharded runs keep their own accounting fields.
+  EXPECT_GT(results[1].rank_step_messages, 0);
+  EXPECT_NE(results[0].total_seconds, results[2].total_seconds);
+}
+
+TEST(RunAll, RejectsAnInvalidConfig) {
+  std::vector<AppConfig> configs{small_config(Method::kStandard),
+                                 small_config(Method::kUlba)};
+  configs[1].alpha = 1.5;
+  EXPECT_THROW((void)run_all(configs), std::invalid_argument);
+  EXPECT_TRUE(run_all(std::span<const AppConfig>{}).empty());
 }
 
 }  // namespace

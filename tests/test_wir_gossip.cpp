@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/gossip.hpp"
@@ -69,6 +70,17 @@ TEST(WirDatabase, StalenessTracking) {
   EXPECT_EQ(db.max_staleness(10), 11);  // PE 1 unknown ⇒ now + 1
   db.update(1, 1.0, 9);
   EXPECT_EQ(db.max_staleness(10), 6);  // PE 0 is 6 iterations old
+}
+
+TEST(WirDatabase, RejectsStampsBeyondInt32) {
+  // Stamps are stored as int32: the largest one is accepted, the next is
+  // refused instead of wrapping to a negative (i.e. "unknown") stamp.
+  WirDatabase db(2);
+  const std::int64_t largest = std::numeric_limits<std::int32_t>::max();
+  db.update(0, 1.0, largest);
+  EXPECT_EQ(db.entry(0).iteration, largest);
+  EXPECT_THROW(db.update(1, 1.0, largest + 1), std::invalid_argument);
+  EXPECT_FALSE(db.entry(1).known());
 }
 
 TEST(WirDatabase, BoundsChecked) {
@@ -276,6 +288,66 @@ TEST(Gossip, FresherObservationsOverwriteDuringDissemination) {
   net.step(rng);
   for (std::int64_t pe = 0; pe < 4; ++pe)
     EXPECT_DOUBLE_EQ(net.database(pe).entry(0).wir, 2.0) << "PE " << pe;
+}
+
+/// The full-snapshot round the copy-on-write `GossipNetwork::step` replaced:
+/// copy every database, then merge each push from the copy.
+void snapshot_step(std::vector<WirDatabase>& dbs, std::int64_t fanout,
+                   support::Rng& rng) {
+  const std::vector<WirDatabase> snapshot = dbs;
+  const std::size_t n = dbs.size();
+  for (std::size_t src = 0; src < n; ++src) {
+    const auto picks = rng.sample_without_replacement(
+        n - 1, static_cast<std::size_t>(fanout));
+    for (std::size_t slot : picks)
+      dbs[slot >= src ? slot + 1 : slot].merge_from(snapshot[src]);
+  }
+}
+
+TEST(Gossip, CopyOnWriteRoundMatchesFullSnapshotRound) {
+  // Random local and oracle traffic, with stale stamps and same-stamp
+  // rewrites of different values (so the tie order of merges matters).
+  for (const std::int64_t pe_count : {2, 3, 17, 64}) {
+    for (const std::int64_t fanout : {std::int64_t{1}, pe_count - 1}) {
+      GossipNetwork net(pe_count, fanout);
+      std::vector<WirDatabase> reference(static_cast<std::size_t>(pe_count),
+                                         WirDatabase(pe_count));
+      support::Rng traffic(static_cast<std::uint64_t>(pe_count * 31 + fanout));
+      support::Rng net_rng(7), reference_rng(7);
+      for (std::int64_t round = 0; round < 200; ++round) {
+        const std::int64_t events = traffic.uniform_int(0, 2 * pe_count);
+        for (std::int64_t e = 0; e < events; ++e) {
+          const std::int64_t pe = traffic.uniform_int(0, pe_count - 1);
+          const double wir = traffic.uniform(0.0, 10.0);
+          const std::int64_t iteration =
+              std::max<std::int64_t>(0, round - traffic.uniform_int(0, 3));
+          if (traffic.uniform_int(0, 9) == 0) {
+            net.observe_oracle(pe, wir, iteration);
+            for (WirDatabase& db : reference) db.update(pe, wir, iteration);
+          } else {
+            net.observe_local(pe, wir, iteration);
+            reference[static_cast<std::size_t>(pe)].update(pe, wir,
+                                                           iteration);
+          }
+        }
+        net.step(net_rng);
+        snapshot_step(reference, fanout, reference_rng);
+      }
+      for (std::int64_t pe = 0; pe < pe_count; ++pe) {
+        for (std::int64_t src = 0; src < pe_count; ++src) {
+          const auto got = net.database(pe).entry(src);
+          const auto want =
+              reference[static_cast<std::size_t>(pe)].entry(src);
+          ASSERT_EQ(got.iteration, want.iteration)
+              << "P=" << pe_count << " f=" << fanout << " pe=" << pe
+              << " src=" << src;
+          ASSERT_EQ(got.wir, want.wir)
+              << "P=" << pe_count << " f=" << fanout << " pe=" << pe
+              << " src=" << src;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

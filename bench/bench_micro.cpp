@@ -96,7 +96,7 @@ void BM_StripePartition(benchmark::State& state) {
   const std::vector<double> fractions(64, 1.0 / 64.0);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        lb::partition_by_weight(weights, fractions).back());
+        lb::GreedyScanPartitioner{}.partition(weights, fractions).back());
 }
 BENCHMARK(BM_StripePartition)->Arg(16384)->Arg(262144);
 

@@ -31,7 +31,7 @@
 #include "core/policy.hpp"
 #include "core/trigger.hpp"
 #include "core/wir_database.hpp"
-#include "lb/stripe_partitioner.hpp"
+#include "lb/partitioners.hpp"
 #include "runtime/spmd.hpp"
 
 namespace {
@@ -153,8 +153,8 @@ RunStats run_method(bool use_ulba) {
                                                group_units.end(), 0.0);
           const auto assignment =
               ulba::core::compute_lb_weights(alphas, total);
-          bounds = ulba::lb::partition_by_weight(group_units,
-                                                 assignment.fractions);
+          bounds = ulba::lb::GreedyScanPartitioner{}.partition(
+              group_units, assignment.fractions);
           ++stats.lb_calls;
         }
         std::vector<std::int64_t> new_bounds =

@@ -48,42 +48,37 @@ std::string erosion_help() {
          "options:\n"
          "  --mt                   measure real wall clock instead of only "
          "the\n"
-         "                         virtual-time BSP model: alone, the legacy "
-         "thread-\n"
-         "                         backed app; with --ranks, the measured-"
-         "time\n"
-         "                         distributed mode (per-rank CPU burn + "
-         "steady_clock\n"
-         "                         iteration/LB/migration times, dynamics "
-         "bit-identical\n"
-         "                         to the model-time run)\n"
+         "                         virtual-time BSP model: the measured-time "
+         "distributed\n"
+         "                         mode (per-rank CPU burn + steady_clock "
+         "iteration/LB/\n"
+         "                         migration times, dynamics bit-identical "
+         "to the\n"
+         "                         model-time run; needs --ranks R, R > 1)\n"
          "  --pes <int>            processing elements   [32; 8 with --mt]\n"
          "  --strong <int>         strongly erodible rocks [1]\n"
          "  --seed <int>           placement seed          [11]\n"
-         "  --iterations <int>     iterations              [180; 80 with "
-         "--mt]\n"
+         "  --iterations <int>     iterations              [180]\n"
          "  --alpha <0..1>         ULBA fraction           [0.4]\n"
-         "  --columns-per-pe <int> stripe width            [256; 96 with "
-         "--mt]\n"
-         "  --rows <int>           domain height           [384; 96 with "
-         "--mt]\n"
-         "  --rock-radius <int>    disc radius             [96; 24 with "
-         "--mt]\n"
+         "  --columns-per-pe <int> stripe width            [256]\n"
+         "  --rows <int>           domain height           [384]\n"
+         "  --rock-radius <int>    disc radius             [96]\n"
          "  --threads <int>        host threads stepping the dynamics "
          "(per-disc\n"
-         "                         RNG substreams; not combinable with "
-         "--mt)  [1]\n"
+         "                         RNG substreams; per rank with --ranks)  "
+         "[1]\n"
          "  --shards <int>         host shards stepping the dynamics "
          "(bit-identical\n"
-         "                         to the serial run; not combinable with "
-         "--mt)  [1]\n"
+         "                         to the serial run; exclusive with --ranks)"
+         "  [1]\n"
          "  --ranks <int>          SPMD ranks stepping the dynamics over the "
          "message-\n"
          "                         passing runtime: per-rank column stripes, "
          "real halo/\n"
          "                         migration messages, bit-identical to the "
          "serial run\n"
-         "                         (exclusive with --shards and --mt)  [1]\n"
+         "                         (exclusive with --shards; composes with "
+         "--mt)  [1]\n"
          "  --partitioner <name>   disc-to-shard/rank + LB cutting "
          "algorithm:\n"
          "                         greedy|rcb|optimal|stripe      [greedy]\n"
@@ -280,7 +275,8 @@ const std::vector<Subcommand>& registry() {
        run_quickstart,
        quickstart_help},
       {"erosion",
-       "the erosion application, standard vs. ULBA (--mt: real threads)",
+       "the erosion application, standard vs. ULBA (--ranks R --mt: real "
+       "clocks)",
        {"mt", "tuner"},
        run_erosion,
        erosion_help},

@@ -10,13 +10,11 @@
 
 #include "cli/serve_driver.hpp"
 #include "cli/sweep.hpp"
-#include "cli/validate.hpp"
 #include "core/instance.hpp"
 #include "core/intervals.hpp"
 #include "core/schedule.hpp"
 #include "core/schedule_query.hpp"
 #include "erosion/app.hpp"
-#include "erosion/threaded_app.hpp"
 #include "lb/grid.hpp"
 #include "lb/partitioners.hpp"
 #include "opt/dp_optimal.hpp"
@@ -96,17 +94,13 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   const std::int64_t shards = flags.get_int("shards", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
   const std::string partitioner = flags.get_string("partitioner", "greedy");
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, threads >= 1 && threads <= 256, "--threads",
-                  "--threads must be in [1, 256]");
-  ULBA_CHECK_FLAG(v, shards >= 1 && shards <= 16, "--shards",
-                  "--shards must be in [1, 16]");
-  ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 16, "--ranks",
-                  "--ranks must be in [1, 16]");
-  ULBA_CHECK_FLAG(v, shards == 1 || ranks == 1, "--shards",
-                  "--shards steps in-process, --ranks steps over the SPMD "
-                  "runtime; pick one");
-  v.raise_first();
+  ULBA_REQUIRE(threads >= 1 && threads <= 256,
+               "--threads must be in [1, 256]");
+  ULBA_REQUIRE(shards >= 1 && shards <= 16, "--shards must be in [1, 16]");
+  ULBA_REQUIRE(ranks >= 1 && ranks <= 16, "--ranks must be in [1, 16]");
+  ULBA_REQUIRE(shards == 1 || ranks == 1,
+               "--shards steps in-process, --ranks steps over the SPMD "
+               "runtime; pick one");
   // Reject bad names before any of the analytic report is streamed.
   (void)lb::make_partitioner(partitioner);
 
@@ -205,100 +199,61 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
           flags.get_string("trigger-criterion", "degradation"));
   const double fli_threshold = flags.get_double("fli-threshold", 0.25);
   const double noise = flags.get_double("noise", 0.0);
-  // The consolidated flag-combination ladder: every violation is recorded,
-  // then the first (in the historical ladder order) is raised, so the exit-2
-  // surface is unchanged while the structured list stays available.
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, pe_count >= 2, "--pes", "--pes must be at least 2");
-  ULBA_CHECK_FLAG(v, strong >= 1 && strong <= pe_count, "--strong",
-                  "--strong must be in [1, pes]");
-  ULBA_CHECK_FLAG(v, alpha > 0.0 && alpha <= 1.0, "--alpha",
-                  "--alpha must be in (0, 1]");
-  ULBA_CHECK_FLAG(v, threads >= 1 && threads <= 256, "--threads",
-                  "--threads must be in [1, 256]");
-  ULBA_CHECK_FLAG(v, shards >= 1 && shards <= 64, "--shards",
-                  "--shards must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 64, "--ranks",
-                  "--ranks must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, ns_scale > 0.0 && migration_scale >= 0.0, "--ns-scale",
-                  "--ns-scale must be positive, --migration-scale "
-                  "nonnegative");
-  ULBA_CHECK_FLAG(v, shards == 1 || ranks == 1, "--shards",
-                  "--shards steps in-process, --ranks steps over the SPMD "
-                  "runtime; pick one");
-  // --mt alone is the legacy thread-backed app; --mt with --ranks is the
-  // measured-time DISTRIBUTED mode, which keeps the full virtual-time knob
-  // set (partitioner, exchange, per-rank pools).
-  ULBA_CHECK_FLAG(v, !mt || ranks > 1 || !flags.has("threads"), "--threads",
-                  "--threads steps the virtual-time dynamics; --mt without "
-                  "--ranks already runs on real OS threads");
-  ULBA_CHECK_FLAG(v,
-                  !mt || ranks > 1 ||
-                      (!flags.has("shards") && !flags.has("partitioner") &&
-                       !flags.has("exchange")),
-                  "--shards",
-                  "--shards/--partitioner/--exchange drive the virtual-time "
-                  "steppers; combine --mt with --ranks for the measured-time "
-                  "distributed mode");
-  ULBA_CHECK_FLAG(v,
-                  mt || (!flags.has("ns-scale") &&
-                         !flags.has("migration-scale")),
-                  "--ns-scale",
-                  "--ns-scale/--migration-scale calibrate measured-time "
-                  "runs; pass --mt");
-  ULBA_CHECK_FLAG(v, !flags.has("exchange") || ranks > 1, "--exchange",
-                  "--exchange routes the distributed step exchange; pass "
-                  "--ranks");
-  ULBA_CHECK_FLAG(v, !flags.has("rng") || !mt || ranks > 1, "--rng",
-                  "--rng selects the virtual-time dynamics stream; the "
-                  "legacy --mt thread app has its own stepper (combine --mt "
-                  "with --ranks for the measured-time distributed mode)");
+  ULBA_REQUIRE(pe_count >= 2, "--pes must be at least 2");
+  ULBA_REQUIRE(strong >= 1 && strong <= pe_count,
+               "--strong must be in [1, pes]");
+  ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
+  ULBA_REQUIRE(threads >= 1 && threads <= 256,
+               "--threads must be in [1, 256]");
+  ULBA_REQUIRE(shards >= 1 && shards <= 64, "--shards must be in [1, 64]");
+  ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
+  ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
+               "--ns-scale must be positive, --migration-scale "
+               "nonnegative");
+  ULBA_REQUIRE(shards == 1 || ranks == 1,
+               "--shards steps in-process, --ranks steps over the SPMD "
+               "runtime; pick one");
+  ULBA_REQUIRE(!mt || ranks > 1,
+               "--mt measures the SPMD runtime; pass --ranks R (R > 1)");
+  ULBA_REQUIRE(mt || (!flags.has("ns-scale") && !flags.has("migration-scale")),
+               "--ns-scale/--migration-scale calibrate measured-time "
+               "runs; pass --mt");
+  ULBA_REQUIRE(!flags.has("exchange") || ranks > 1,
+               "--exchange routes the distributed step exchange; pass "
+               "--ranks");
   // The measured trigger source closes the LB loop on real steady_clock
-  // timings — only the measured-time DISTRIBUTED mode produces them (the
-  // legacy --mt thread app has its own fixed schedule machinery).
-  ULBA_CHECK_FLAG(v,
-                  trigger_source == erosion::TriggerSource::kModel ||
-                      (mt && ranks > 1),
-                  "--trigger-source",
-                  "--trigger-source measured feeds the LB trigger from real "
-                  "timings; pass --ranks with --mt");
-  ULBA_CHECK_FLAG(v,
-                  !flags.has("trigger-criterion") ||
-                      trigger_source == erosion::TriggerSource::kMeasured,
-                  "--trigger-criterion",
-                  "--trigger-criterion selects the measured trigger's "
-                  "signal; pass --trigger-source measured");
-  ULBA_CHECK_FLAG(v,
-                  !flags.has("fli-threshold") ||
-                      trigger_criterion == erosion::TriggerCriterion::kFli,
-                  "--fli-threshold",
-                  "--fli-threshold calibrates the fli criterion; pass "
-                  "--trigger-criterion fli");
-  ULBA_CHECK_FLAG(v, !flags.has("noise") || (mt && ranks > 1), "--noise",
-                  "--noise perturbs the measured-time burns; pass --ranks "
-                  "with --mt");
-  ULBA_CHECK_FLAG(v, decomp == "stripes" || decomp == "grid", "--decomp",
-                  "--decomp must be 'stripes' or 'grid'");
-  ULBA_CHECK_FLAG(v, decomp == "stripes" || ranks > 1, "--decomp",
-                  "--decomp grid runs over the SPMD runtime; pass --ranks");
-  ULBA_CHECK_FLAG(v, decomp == "grid" || !flags.has("grid"), "--grid",
-                  "--grid shapes the 2D tile decomposition; pass --decomp "
-                  "grid");
-  ULBA_CHECK_FLAG(v,
-                  decomp == "grid" ||
-                      (!tuner && !flags.has("tuner-cap") &&
-                       !flags.has("tuner-maxiter") && !flags.has("tuner-tol")),
-                  "--tuner",
-                  "--tuner and its knobs drive the grid decomposition's "
-                  "damped rebalancing; pass --decomp grid");
-  ULBA_CHECK_FLAG(v,
-                  tuner || (!flags.has("tuner-cap") &&
-                            !flags.has("tuner-maxiter") &&
-                            !flags.has("tuner-tol")),
-                  "--tuner-cap",
-                  "--tuner-cap/--tuner-maxiter/--tuner-tol calibrate the "
-                  "boundary tuner; pass --tuner");
-  v.raise_first();
+  // timings, which only the measured-time mode produces.
+  ULBA_REQUIRE(trigger_source == erosion::TriggerSource::kModel || mt,
+               "--trigger-source measured feeds the LB trigger from real "
+               "timings; pass --ranks with --mt");
+  ULBA_REQUIRE(!flags.has("trigger-criterion") ||
+                   trigger_source == erosion::TriggerSource::kMeasured,
+               "--trigger-criterion selects the measured trigger's "
+               "signal; pass --trigger-source measured");
+  ULBA_REQUIRE(!flags.has("fli-threshold") ||
+                   trigger_criterion == erosion::TriggerCriterion::kFli,
+               "--fli-threshold calibrates the fli criterion; pass "
+               "--trigger-criterion fli");
+  ULBA_REQUIRE(!flags.has("noise") || mt,
+               "--noise perturbs the measured-time burns; pass --ranks "
+               "with --mt");
+  ULBA_REQUIRE(decomp == "stripes" || decomp == "grid",
+               "--decomp must be 'stripes' or 'grid'");
+  ULBA_REQUIRE(decomp == "stripes" || ranks > 1,
+               "--decomp grid runs over the SPMD runtime; pass --ranks");
+  ULBA_REQUIRE(decomp == "grid" || !flags.has("grid"),
+               "--grid shapes the 2D tile decomposition; pass --decomp "
+               "grid");
+  ULBA_REQUIRE(decomp == "grid" ||
+                   (!tuner && !flags.has("tuner-cap") &&
+                    !flags.has("tuner-maxiter") && !flags.has("tuner-tol")),
+               "--tuner and its knobs drive the grid decomposition's "
+               "damped rebalancing; pass --decomp grid");
+  ULBA_REQUIRE(tuner || (!flags.has("tuner-cap") &&
+                         !flags.has("tuner-maxiter") &&
+                         !flags.has("tuner-tol")),
+               "--tuner-cap/--tuner-maxiter/--tuner-tol calibrate the "
+               "boundary tuner; pass --tuner");
   std::int64_t grid_rows = 0, grid_cols = 0;
   if (flags.has("grid")) {
     // Non-factorable shapes (rows * cols != ranks) are rejected by
@@ -307,48 +262,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
         lb::parse_grid_shape(flags.get_string("grid", ""));
     grid_rows = shape.rows;
     grid_cols = shape.cols;
-  }
-
-  if (mt && ranks == 1) {
-    erosion::ThreadedConfig cfg;
-    cfg.pe_count = pe_count;
-    cfg.strong_rock_count = strong;
-    cfg.seed = seed;
-    cfg.alpha = alpha;
-    cfg.columns_per_pe = flags.get_int("columns-per-pe", 96);
-    cfg.rows = flags.get_int("rows", 96);
-    cfg.rock_radius = flags.get_int("rock-radius", 24);
-    cfg.iterations = flags.get_int("iterations", 80);
-    cfg.ns_scale = ns_scale;
-    cfg.migration_scale = migration_scale;
-    cfg.validate();
-
-    out << "Threaded erosion: " << cfg.pe_count << " ranks (OS threads), "
-        << cfg.strong_rock_count << " strong rock(s), " << cfg.iterations
-        << " iterations\n\n";
-    cfg.method = erosion::Method::kStandard;
-    const erosion::ThreadedRunResult std_run = erosion::run_threaded(cfg);
-    cfg.method = erosion::Method::kUlba;
-    const erosion::ThreadedRunResult ulba_run = erosion::run_threaded(cfg);
-
-    const auto report = [&out](const char* name,
-                               const erosion::ThreadedRunResult& r) {
-      out << name << "\n"
-          << "  wall clock       : " << r.wall_seconds << " s (measured)\n"
-          << "  LB calls         : " << r.lb_count << "\n"
-          << "  mean utilization : " << r.mean_utilization * 100.0 << " %\n"
-          << "  iteration times  : "
-          << support::sparkline(r.iteration_seconds) << "\n\n";
-    };
-    report("standard LB method:", std_run);
-    report("ULBA:", ulba_run);
-    out << "==> ULBA gain: "
-        << (std_run.wall_seconds - ulba_run.wall_seconds) /
-               std_run.wall_seconds * 100.0
-        << " % measured wall clock (same dynamics: " << std_run.eroded_cells
-        << " == " << ulba_run.eroded_cells << " cells eroded)\n"
-        << "(wall-clock noise is real; re-run for another sample)\n";
-    return 0;
   }
 
   erosion::AppConfig cfg;
@@ -783,30 +696,23 @@ int run_instances(const FlagMap& flags, std::ostream& out) {
   const std::int64_t serve_batch = flags.get_int("serve-batch", 32);
   const std::int64_t cache_capacity = flags.get_int("cache-capacity", 4096);
   const std::int64_t cache_shards = flags.get_int("cache-shards", 8);
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, samples >= 1 && samples <= 100000, "--samples",
-                  "--samples must be in [1, 100000]");
-  ULBA_CHECK_FLAG(v, grid >= 1 && grid <= 1000, "--alpha-grid",
-                  "--alpha-grid must be in [1, 1000]");
-  ULBA_CHECK_FLAG(v, ranks >= 1 && ranks <= 64, "--ranks",
-                  "--ranks must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, !flags.has("serve-batch") || ranks > 1, "--serve-batch",
-                  "--serve-batch tunes the schedule service; pass --ranks");
-  ULBA_CHECK_FLAG(v, !flags.has("cache-capacity") || ranks > 1,
-                  "--cache-capacity",
-                  "--cache-capacity sizes the service's memo cache; pass "
-                  "--ranks");
-  ULBA_CHECK_FLAG(v, !flags.has("cache-shards") || ranks > 1,
-                  "--cache-shards",
-                  "--cache-shards shards the service's memo cache; pass "
-                  "--ranks");
-  ULBA_CHECK_FLAG(v, serve_batch >= 1 && serve_batch <= 4096, "--serve-batch",
-                  "--serve-batch must be in [1, 4096]");
-  ULBA_CHECK_FLAG(v, cache_capacity >= 1, "--cache-capacity",
-                  "--cache-capacity must be at least 1");
-  ULBA_CHECK_FLAG(v, cache_shards >= 1 && cache_shards <= 64, "--cache-shards",
-                  "--cache-shards must be in [1, 64]");
-  v.raise_first();
+  ULBA_REQUIRE(samples >= 1 && samples <= 100000,
+               "--samples must be in [1, 100000]");
+  ULBA_REQUIRE(grid >= 1 && grid <= 1000, "--alpha-grid must be in [1, 1000]");
+  ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
+  ULBA_REQUIRE(!flags.has("serve-batch") || ranks > 1,
+               "--serve-batch tunes the schedule service; pass --ranks");
+  ULBA_REQUIRE(!flags.has("cache-capacity") || ranks > 1,
+               "--cache-capacity sizes the service's memo cache; pass "
+               "--ranks");
+  ULBA_REQUIRE(!flags.has("cache-shards") || ranks > 1,
+               "--cache-shards shards the service's memo cache; pass "
+               "--ranks");
+  ULBA_REQUIRE(serve_batch >= 1 && serve_batch <= 4096,
+               "--serve-batch must be in [1, 4096]");
+  ULBA_REQUIRE(cache_capacity >= 1, "--cache-capacity must be at least 1");
+  ULBA_REQUIRE(cache_shards >= 1 && cache_shards <= 64,
+               "--cache-shards must be in [1, 64]");
 
   out << "Table-II instance sweep: ULBA vs standard over the paper's random\n"
          "application families (" << samples << " instances per PE family, "
@@ -1042,24 +948,20 @@ int run_serve(const FlagMap& flags, std::ostream& out) {
   const std::string mode = flags.get_string("mode", "grid");
   const std::int64_t alpha_grid = flags.get_int("alpha-grid", 10);
   const std::uint64_t seed = flags.get_seed("seed", 11);
-  ConfigValidator v;
-  ULBA_CHECK_FLAG(v, clients >= 1 && clients <= 64, "--clients",
-                  "--clients must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, requests >= 1 && requests <= 100000, "--requests",
-                  "--requests must be in [1, 100000]");
-  ULBA_CHECK_FLAG(v, distinct >= 1 && distinct <= 10000, "--distinct",
-                  "--distinct must be in [1, 10000]");
-  ULBA_CHECK_FLAG(v, serve_batch >= 1 && serve_batch <= 4096, "--serve-batch",
-                  "--serve-batch must be in [1, 4096]");
-  ULBA_CHECK_FLAG(v, cache_capacity >= 1, "--cache-capacity",
-                  "--cache-capacity must be at least 1");
-  ULBA_CHECK_FLAG(v, cache_shards >= 1 && cache_shards <= 64, "--cache-shards",
-                  "--cache-shards must be in [1, 64]");
-  ULBA_CHECK_FLAG(v, mode == "grid" || mode == "dp", "--mode",
-                  "--mode must be 'grid' (sigma+ sweep) or 'dp' (exact DP)");
-  ULBA_CHECK_FLAG(v, alpha_grid >= 1 && alpha_grid <= 1000, "--alpha-grid",
-                  "--alpha-grid must be in [1, 1000]");
-  v.raise_first();
+  ULBA_REQUIRE(clients >= 1 && clients <= 64, "--clients must be in [1, 64]");
+  ULBA_REQUIRE(requests >= 1 && requests <= 100000,
+               "--requests must be in [1, 100000]");
+  ULBA_REQUIRE(distinct >= 1 && distinct <= 10000,
+               "--distinct must be in [1, 10000]");
+  ULBA_REQUIRE(serve_batch >= 1 && serve_batch <= 4096,
+               "--serve-batch must be in [1, 4096]");
+  ULBA_REQUIRE(cache_capacity >= 1, "--cache-capacity must be at least 1");
+  ULBA_REQUIRE(cache_shards >= 1 && cache_shards <= 64,
+               "--cache-shards must be in [1, 64]");
+  ULBA_REQUIRE(mode == "grid" || mode == "dp",
+               "--mode must be 'grid' (sigma+ sweep) or 'dp' (exact DP)");
+  ULBA_REQUIRE(alpha_grid >= 1 && alpha_grid <= 1000,
+               "--alpha-grid must be in [1, 1000]");
 
   ServeTrafficOptions options;
   options.clients = static_cast<int>(clients);

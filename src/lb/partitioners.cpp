@@ -126,7 +126,41 @@ bool feasible(std::span<const double> w, const std::vector<double>& prefix,
 StripeBoundaries GreedyScanPartitioner::partition(
     std::span<const double> column_weights,
     std::span<const double> target_fractions) const {
-  return partition_by_weight(column_weights, target_fractions);
+  check_inputs(column_weights, target_fractions);
+  const auto columns = static_cast<std::int64_t>(column_weights.size());
+  const auto pe_count = static_cast<std::int64_t>(target_fractions.size());
+  const double total =
+      std::accumulate(column_weights.begin(), column_weights.end(), 0.0);
+  if (total <= 0.0) return even_partition(columns, pe_count);
+
+  StripeBoundaries b(static_cast<std::size_t>(pe_count) + 1, 0);
+  b.back() = columns;
+
+  double cum_target = 0.0;   // cumulative target weight up to cut p
+  double cum_weight = 0.0;   // weight of columns [0, cut)
+  std::int64_t cut = 0;
+  for (std::int64_t p = 0; p + 1 < pe_count; ++p) {
+    cum_target += target_fractions[static_cast<std::size_t>(p)] * total;
+    // Advance while adding the next column keeps us at or closer to target.
+    // Leave enough columns for the pe_count − (p+1) remaining stripes.
+    const std::int64_t max_cut = columns - (pe_count - p - 1);
+    while (cut < max_cut) {
+      const double w = column_weights[static_cast<std::size_t>(cut)];
+      const double err_stop = std::abs(cum_weight - cum_target);
+      const double err_take = std::abs(cum_weight + w - cum_target);
+      if (err_take > err_stop && cut > b[static_cast<std::size_t>(p)])
+        break;  // taking this column overshoots and stripe p is non-empty
+      cum_weight += w;
+      ++cut;
+    }
+    // Guarantee non-empty stripe even when the target was already exceeded.
+    if (cut <= b[static_cast<std::size_t>(p)]) {
+      cut = b[static_cast<std::size_t>(p)] + 1;
+      cum_weight += column_weights[static_cast<std::size_t>(cut - 1)];
+    }
+    b[static_cast<std::size_t>(p) + 1] = cut;
+  }
+  return b;
 }
 
 StripeBoundaries RcbPartitioner::partition(

@@ -49,7 +49,9 @@ class Partitioner {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// The paper's greedy prefix-scan stripe technique (§IV-B).
+/// The paper's greedy prefix-scan stripe technique (§IV-B): each cut lands
+/// on the column edge that best approximates the cumulative target, while
+/// always leaving at least one column per remaining stripe.
 class GreedyScanPartitioner final : public Partitioner {
  public:
   [[nodiscard]] StripeBoundaries partition(

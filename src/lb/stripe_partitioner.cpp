@@ -1,7 +1,6 @@
 #include "lb/stripe_partitioner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "support/require.hpp"
@@ -14,57 +13,6 @@ StripeBoundaries even_partition(std::int64_t columns, std::int64_t pe_count) {
   StripeBoundaries b(static_cast<std::size_t>(pe_count) + 1);
   for (std::int64_t p = 0; p <= pe_count; ++p)
     b[static_cast<std::size_t>(p)] = p * columns / pe_count;
-  return b;
-}
-
-StripeBoundaries partition_by_weight(std::span<const double> column_weights,
-                                     std::span<const double> target_fractions) {
-  const auto columns = static_cast<std::int64_t>(column_weights.size());
-  const auto pe_count = static_cast<std::int64_t>(target_fractions.size());
-  ULBA_REQUIRE(pe_count >= 1, "need at least one PE");
-  ULBA_REQUIRE(columns >= pe_count, "need at least one column per PE");
-
-  double total = 0.0;
-  for (double w : column_weights) {
-    ULBA_REQUIRE(w >= 0.0, "column weights must be non-negative");
-    total += w;
-  }
-  double fsum = 0.0;
-  for (double f : target_fractions) {
-    ULBA_REQUIRE(f > 0.0, "target fractions must be positive");
-    fsum += f;
-  }
-  ULBA_REQUIRE(std::abs(fsum - 1.0) < 1e-6, "target fractions must sum to 1");
-
-  if (total <= 0.0) return even_partition(columns, pe_count);
-
-  StripeBoundaries b(static_cast<std::size_t>(pe_count) + 1, 0);
-  b.back() = columns;
-
-  double cum_target = 0.0;   // cumulative target weight up to cut p
-  double cum_weight = 0.0;   // weight of columns [0, cut)
-  std::int64_t cut = 0;
-  for (std::int64_t p = 0; p + 1 < pe_count; ++p) {
-    cum_target += target_fractions[static_cast<std::size_t>(p)] * total;
-    // Advance while adding the next column keeps us at or closer to target.
-    // Leave enough columns for the pe_count − (p+1) remaining stripes.
-    const std::int64_t max_cut = columns - (pe_count - p - 1);
-    while (cut < max_cut) {
-      const double w = column_weights[static_cast<std::size_t>(cut)];
-      const double err_stop = std::abs(cum_weight - cum_target);
-      const double err_take = std::abs(cum_weight + w - cum_target);
-      if (err_take > err_stop && cut > b[static_cast<std::size_t>(p)])
-        break;  // taking this column overshoots and stripe p is non-empty
-      cum_weight += w;
-      ++cut;
-    }
-    // Guarantee non-empty stripe even when the target was already exceeded.
-    if (cut <= b[static_cast<std::size_t>(p)]) {
-      cut = b[static_cast<std::size_t>(p)] + 1;
-      cum_weight += column_weights[static_cast<std::size_t>(cut - 1)];
-    }
-    b[static_cast<std::size_t>(p) + 1] = cut;
-  }
   return b;
 }
 

@@ -1,13 +1,8 @@
-// Weighted stripe partitioner — the centralized LB technique of paper §IV-B:
-//
-// "we implemented a partitioning technique that divides the computational
-//  domain in stripes along the x-axis. … The goal of this technique is to
-//  create P stripes that roughly contain the same number of fluid cells."
-//
-// Generalized to per-PE *weight targets* so the same partitioner serves both
-// the standard method (equal targets) and ULBA (Algorithm-2 targets): stripe
-// p receives consecutive columns whose summed weight approximates
-// target_fraction[p] · total_weight.
+// Stripe decompositions along the x-axis (paper §IV-B): stripe p owns a run
+// of consecutive columns. This header holds the weight-agnostic pieces — the
+// initial even split and the load/imbalance metrics of a given cut. The
+// weighted cuts that realize per-PE targets (the paper's greedy prefix scan
+// and its alternatives) live behind lb::Partitioner in lb/partitioners.hpp.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +20,6 @@ using StripeBoundaries = std::vector<std::int64_t>;
 /// decomposition, before any weight information exists).
 [[nodiscard]] StripeBoundaries even_partition(std::int64_t columns,
                                               std::int64_t pe_count);
-
-/// Cut `column_weights` into stripes matching `target_fractions` (which must
-/// be positive and sum to ≈1). Greedy prefix scan: each cut lands on the
-/// column edge that best approximates the cumulative target, while always
-/// leaving at least one column per remaining stripe.
-[[nodiscard]] StripeBoundaries partition_by_weight(
-    std::span<const double> column_weights,
-    std::span<const double> target_fractions);
 
 /// Summed weight of each stripe under the given boundaries.
 [[nodiscard]] std::vector<double> stripe_loads(

@@ -3,8 +3,8 @@
 // Every scenario is driven through cli::run with a pinned seed and a small,
 // fast configuration; the full report text is compared byte-for-byte against
 // tests/golden/<name>.txt. The virtual-time machine makes every subcommand
-// deterministic (only `erosion --mt` measures wall clock, and is therefore
-// exercised structurally, not golden-matched).
+// deterministic (only `erosion --ranks R --mt` measures wall clock, and is
+// therefore exercised structurally, not golden-matched).
 //
 // Regenerate the golden files after an intentional output change with
 //   ULBA_UPDATE_GOLDEN=1 ctest -R test_cli_scenarios
@@ -334,10 +334,11 @@ TEST(CliScenarios, InstancesRejectsBadFlags) {
   EXPECT_THROW(run({"instances", "--samples"}, out), std::invalid_argument);
 }
 
-TEST(CliScenarios, ThreadsFlagIsValidatedAndExclusiveWithMt) {
+TEST(CliScenarios, ThreadsFlagIsValidated) {
   std::ostringstream out;
   EXPECT_THROW(run({"erosion", "--threads", "0"}, out),
                std::invalid_argument);
+  // Per-rank pools need --ranks under --mt.
   EXPECT_THROW(run({"erosion", "--mt", "--threads", "2"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--threads", "-3"}, out),
@@ -360,7 +361,7 @@ TEST(CliScenarios, ShardsAndPartitionerFlagsAreValidated) {
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--shards", "-1"}, out),
                std::invalid_argument);
-  // The sharded stepper drives the virtual-time path only.
+  // --mt without --ranks is rejected before any stepper knob is read.
   EXPECT_THROW(run({"erosion", "--mt", "--shards", "2"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--mt", "--partitioner", "rcb"}, out),
@@ -374,6 +375,10 @@ TEST(CliScenarios, RanksFlagIsValidatedAndExclusive) {
                std::invalid_argument);
   // AppConfig::validate: ranks must not exceed the PE count.
   EXPECT_THROW(run({"erosion", "--pes", "8", "--ranks", "16"}, out),
+               std::invalid_argument);
+  // --mt measures the SPMD runtime: it needs more than one rank.
+  EXPECT_THROW(run({"erosion", "--mt"}, out), std::invalid_argument);
+  EXPECT_THROW(run({"erosion", "--mt", "--ranks", "1"}, out),
                std::invalid_argument);
   // The distributed stepper is exclusive with --shards (but composes with
   // --mt: that combination is the measured-time distributed mode).
@@ -400,13 +405,13 @@ TEST(CliScenarios, RanksFlagIsValidatedAndExclusive) {
                std::invalid_argument);
 }
 
-TEST(CliScenarios, RngFlagIsValidatedAndExclusiveWithLegacyMt) {
+TEST(CliScenarios, RngFlagIsValidatedAndComposesWithMeasuredMode) {
   std::ostringstream out;
   // Unknown kinds are rejected up front (rng_kind_from_name throws).
   EXPECT_THROW(run({"erosion", "--rng", "philox"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--rng", ""}, out), std::invalid_argument);
-  // The legacy --mt thread app has its own stepper — no --rng there...
+  // --mt without --ranks is rejected, whatever the --rng...
   EXPECT_THROW(run({"erosion", "--mt", "--rng", "counter"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--mt", "--rng", "fork"}, out),
@@ -427,8 +432,8 @@ TEST(CliScenarios, TriggerSourceFlagsAreValidated) {
   EXPECT_THROW(run({"erosion", "--trigger-criterion", "entropy"}, out),
                std::invalid_argument);
   // The measured source needs the measured-time distributed mode: plain
-  // virtual-time runs and the legacy --mt thread app (no --ranks) have no
-  // steady_clock track to trigger on.
+  // virtual-time runs have no steady_clock track to trigger on, and --mt
+  // without --ranks is rejected outright.
   EXPECT_THROW(run({"erosion", "--trigger-source", "measured"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--mt", "--trigger-source", "measured"}, out),

@@ -507,7 +507,9 @@ TEST(GridDecomposition, AppRunResultBitIdenticalToSerialBothRngKinds) {
       }
       // The grid accounting is additional, never trajectory-facing.
       EXPECT_GE(dist.rank_fractional_imbalance, 0.0) << what;
-      if (!tuner) EXPECT_EQ(dist.grid_tuner_iterations, 0) << what;
+      if (!tuner) {
+        EXPECT_EQ(dist.grid_tuner_iterations, 0) << what;
+      }
     }
   }
 }

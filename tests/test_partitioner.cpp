@@ -1,17 +1,24 @@
 // Stripe partitioner, stripe loads, migration volumes, and the centralized
-// LB driver.
+// LB driver. The greedy cut is exercised through GreedyScanPartitioner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "lb/driver.hpp"
 #include "lb/migration.hpp"
+#include "lb/partitioners.hpp"
 #include "lb/stripe_partitioner.hpp"
 #include "support/rng.hpp"
 
 namespace ulba::lb {
 namespace {
+
+std::vector<double> equal_targets(int pe_count) {
+  return std::vector<double>(static_cast<std::size_t>(pe_count),
+                             1.0 / pe_count);
+}
 
 TEST(EvenPartition, SplitsEvenly) {
   EXPECT_EQ(even_partition(12, 4), (StripeBoundaries{0, 3, 6, 9, 12}));
@@ -24,56 +31,82 @@ TEST(EvenPartition, Rejections) {
   EXPECT_THROW((void)even_partition(4, 0), std::invalid_argument);
 }
 
-TEST(PartitionByWeight, UniformWeightsEqualTargets) {
-  const std::vector<double> w(100, 1.0);
-  const std::vector<double> f(4, 0.25);
-  const StripeBoundaries b = partition_by_weight(w, f);
-  EXPECT_EQ(b, (StripeBoundaries{0, 25, 50, 75, 100}));
-}
-
-TEST(PartitionByWeight, SkewedTargetsMoveTheCut) {
+TEST(GreedyScan, SkewedTargetsMoveTheCut) {
   const std::vector<double> w(100, 1.0);
   const std::vector<double> f{0.1, 0.9};
-  const StripeBoundaries b = partition_by_weight(w, f);
+  const StripeBoundaries b = GreedyScanPartitioner{}.partition(w, f);
   EXPECT_EQ(b, (StripeBoundaries{0, 10, 100}));
 }
 
-TEST(PartitionByWeight, ConcentratedWeightIsolatesHotColumns) {
+TEST(GreedyScan, ConcentratedWeightIsolatesHotColumns) {
   // All weight in columns 40–59; equal targets must split that hot band.
   std::vector<double> w(100, 0.0);
   for (int x = 40; x < 60; ++x) w[static_cast<std::size_t>(x)] = 10.0;
-  const std::vector<double> f(2, 0.5);
-  const StripeBoundaries b = partition_by_weight(w, f);
+  const auto f = equal_targets(2);
+  const StripeBoundaries b = GreedyScanPartitioner{}.partition(w, f);
   const auto loads = stripe_loads(w, b);
   EXPECT_NEAR(loads[0], loads[1], 10.0);  // within one column's weight
 }
 
-TEST(PartitionByWeight, StripesAreNeverEmpty) {
+TEST(GreedyScan, StripesAreNeverEmpty) {
   // Adversarial: everything in the first column.
   std::vector<double> w(10, 0.0);
   w[0] = 100.0;
-  const std::vector<double> f(5, 0.2);
-  const StripeBoundaries b = partition_by_weight(w, f);
+  const auto f = equal_targets(5);
+  const StripeBoundaries b = GreedyScanPartitioner{}.partition(w, f);
   for (std::size_t p = 0; p + 1 < b.size(); ++p) EXPECT_LT(b[p], b[p + 1]);
 }
 
-TEST(PartitionByWeight, ZeroTotalWeightFallsBackToEven) {
-  const std::vector<double> w(12, 0.0);
-  const std::vector<double> f(4, 0.25);
-  EXPECT_EQ(partition_by_weight(w, f), even_partition(12, 4));
-}
-
-TEST(PartitionByWeight, Rejections) {
+TEST(GreedyScan, Rejections) {
+  const GreedyScanPartitioner greedy;
   const std::vector<double> w(10, 1.0);
-  EXPECT_THROW((void)partition_by_weight(w, std::vector<double>{0.5, 0.6}),
+  EXPECT_THROW((void)greedy.partition(w, std::vector<double>{0.5, 0.6}),
                std::invalid_argument);  // does not sum to 1
-  EXPECT_THROW((void)partition_by_weight(w, std::vector<double>{1.0, 0.0}),
+  EXPECT_THROW((void)greedy.partition(w, std::vector<double>{1.0, 0.0}),
                std::invalid_argument);  // non-positive target
   const std::vector<double> neg{1.0, -1.0};
-  EXPECT_THROW(
-      (void)partition_by_weight(neg, std::vector<double>{0.5, 0.5}),
-      std::invalid_argument);
+  EXPECT_THROW((void)greedy.partition(neg, std::vector<double>{0.5, 0.5}),
+               std::invalid_argument);  // negative weight
 }
+
+// Property sweep of the greedy cut under non-uniform targets: for random
+// weights and targets, realized stripe loads are within two max-column
+// weights of the targets, on both sides.
+class PartitionSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PartitionSweep, RealizedLoadsTrackTargets) {
+  support::Rng rng(GetParam());
+  const int columns = 200 + static_cast<int>(rng.index(800));
+  const int pe_count = 2 + static_cast<int>(rng.index(14));
+  std::vector<double> w(static_cast<std::size_t>(columns));
+  double wmax = 0.0;
+  for (double& x : w) {
+    x = rng.uniform(0.0, 5.0);
+    wmax = std::max(wmax, x);
+  }
+  // Random positive targets normalized to 1.
+  std::vector<double> f(static_cast<std::size_t>(pe_count));
+  double fsum = 0.0;
+  for (double& x : f) {
+    x = rng.uniform(0.2, 1.0);
+    fsum += x;
+  }
+  for (double& x : f) x /= fsum;
+
+  const StripeBoundaries b = GreedyScanPartitioner{}.partition(w, f);
+  const auto loads = stripe_loads(w, b);
+  const double total = std::accumulate(w.begin(), w.end(), 0.0);
+  for (int p = 0; p < pe_count; ++p) {
+    // Each cut can miss its cumulative target by at most one column, so a
+    // stripe's load misses by at most two columns' weight.
+    EXPECT_NEAR(loads[static_cast<std::size_t>(p)],
+                f[static_cast<std::size_t>(p)] * total, 2.0 * wmax + 1e-9)
+        << "seed=" << GetParam() << " P=" << pe_count << " X=" << columns;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PartitionSweep,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 TEST(StripeLoads, SumsAndImbalance) {
   const std::vector<double> w{1.0, 2.0, 3.0, 4.0};
@@ -180,44 +213,6 @@ TEST(Driver, ValidatesArguments) {
                std::invalid_argument);
   EXPECT_THROW(CentralizedLb(bsp::CommModel{}, 0.0), std::invalid_argument);
 }
-
-// Property sweep: for random weights and targets, realized stripe loads are
-// within one max-column-weight of the targets.
-class PartitionSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PartitionSweep, RealizedLoadsTrackTargets) {
-  support::Rng rng(GetParam());
-  const int columns = 200 + static_cast<int>(rng.index(800));
-  const int pe_count = 2 + static_cast<int>(rng.index(14));
-  std::vector<double> w(static_cast<std::size_t>(columns));
-  double wmax = 0.0;
-  for (double& x : w) {
-    x = rng.uniform(0.0, 5.0);
-    wmax = std::max(wmax, x);
-  }
-  // Random positive targets normalized to 1.
-  std::vector<double> f(static_cast<std::size_t>(pe_count));
-  double fsum = 0.0;
-  for (double& x : f) {
-    x = rng.uniform(0.2, 1.0);
-    fsum += x;
-  }
-  for (double& x : f) x /= fsum;
-
-  const StripeBoundaries b = partition_by_weight(w, f);
-  const auto loads = stripe_loads(w, b);
-  const double total = std::accumulate(w.begin(), w.end(), 0.0);
-  for (int p = 0; p < pe_count; ++p) {
-    // Each cut can miss its cumulative target by at most one column, so a
-    // stripe's load misses by at most two columns' weight.
-    EXPECT_NEAR(loads[static_cast<std::size_t>(p)],
-                f[static_cast<std::size_t>(p)] * total, 2.0 * wmax + 1e-9)
-        << "seed=" << GetParam() << " P=" << pe_count << " X=" << columns;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PartitionSweep,
-                         ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace ulba::lb

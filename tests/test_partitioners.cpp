@@ -108,6 +108,7 @@ TEST(Partitioners, UniformCaseAllAgree) {
 TEST(Partitioners, ZeroWeightsFallBackToEven) {
   const std::vector<double> w(12, 0.0);
   const auto f = equal_targets(4);
+  EXPECT_EQ(GreedyScanPartitioner{}.partition(w, f), even_partition(12, 4));
   EXPECT_EQ(RcbPartitioner{}.partition(w, f), even_partition(12, 4));
   EXPECT_EQ(OptimalRatioPartitioner{}.partition(w, f),
             even_partition(12, 4));

@@ -103,7 +103,6 @@ RULE_ALLOWED_PATHS = {
     "time-discipline": [
         r"^src/support/burn\.",        # burns real CPU by definition
         r"^src/erosion/app\.cpp$",     # measured-time track (RunResult::measured)
-        r"^src/erosion/threaded_app\.cpp$",  # measured-time threaded driver
         r"^src/serve/",                # serve metrics (wall, throughput)
         r"^src/cli/serve_driver\.cpp$",  # serve-metrics harness (wall, rps)
     ],

@@ -64,9 +64,13 @@ std::string erosion_help() {
          "  --rows <int>           domain height           [384]\n"
          "  --rock-radius <int>    disc radius             [96]\n"
          "  --threads <int>        host threads stepping the dynamics "
-         "(per-disc\n"
-         "                         RNG substreams; per rank with --ranks)  "
-         "[1]\n"
+         "(same\n"
+         "                         trajectory for every count; per rank "
+         "with --ranks)  [1]\n"
+         "  --rng <kind>           dynamics RNG: counter (Philox draws "
+         "addressed by\n"
+         "                         disc, iteration and cell; the only "
+         "kind)  [counter]\n"
          "  --shards <int>         host shards stepping the dynamics "
          "(bit-identical\n"
          "                         to the serial run; exclusive with --ranks)"

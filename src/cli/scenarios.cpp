@@ -132,10 +132,8 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   // The model in practice: a miniature §IV-B erosion run (--seed, default
   // 11 like the other erosion subcommands; the shared Table-II comm
   // calibration of scaled_app_config, geometry scaled down further),
-  // stepped on `--threads` host threads. --threads 1 is the classic
-  // shared-stream serial stepper; any N > 1 uses per-disc substreams and
-  // yields one identical virtual-time result for every such N (see
-  // AppConfig::threads).
+  // stepped on `--threads` host threads; the virtual-time result is the
+  // same for every thread count (see AppConfig::threads).
   erosion::AppConfig mini =
       scaled_app_config(16, 1, erosion::Method::kStandard, seed);
   mini.columns_per_pe = 64;
@@ -186,7 +184,7 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   const std::string partitioner = flags.get_string("partitioner", "greedy");
   const std::string exchange = flags.get_string("exchange", "neighbor");
   const erosion::RngKind rng_kind =
-      erosion::rng_kind_from_name(flags.get_string("rng", "fork"));
+      erosion::rng_kind_from_name(flags.get_string("rng", "counter"));
   const double ns_scale = flags.get_double("ns-scale", 4.0);
   const double migration_scale = flags.get_double("migration-scale", 8.0);
   const std::string decomp = flags.get_string("decomp", "stripes");
@@ -304,10 +302,9 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
       << "(domain " << cfg.columns() << "x" << cfg.rows
       << " cells, rock radius " << cfg.rock_radius << ", alpha = "
       << cfg.alpha << ", " << cfg.threads << " stepping thread(s))\n";
-  if (cfg.rng_kind == erosion::RngKind::kCounter)
-    out << "(counter-based RNG: Philox draws addressed by (disc, iteration, "
-           "cell); one trajectory for every threads/shards/ranks "
-           "combination)\n";
+  out << "(counter-based RNG: Philox draws addressed by (disc, iteration, "
+         "cell); one trajectory for every threads/shards/ranks "
+         "combination)\n";
   if (cfg.shards > 1)
     out << "(sharded stepping: " << cfg.shards << " shards cut by "
         << cfg.partitioner

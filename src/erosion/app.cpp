@@ -24,6 +24,7 @@
 #include "support/burn.hpp"
 #include "support/counter_rng.hpp"
 #include "support/require.hpp"
+#include "support/rng.hpp"
 
 namespace ulba::erosion {
 
@@ -48,20 +49,13 @@ std::string alpha_policy_name(AlphaPolicy policy) {
 }
 
 RngKind rng_kind_from_name(const std::string& name) {
-  if (name == "fork") return RngKind::kFork;
   if (name == "counter") return RngKind::kCounter;
+  if (name == "fork")
+    throw std::invalid_argument(
+        "the fork rng kind was removed; the dynamics run on the counter "
+        "kernel only (accepted: counter)");
   throw std::invalid_argument("unknown rng kind '" + name +
-                              "' (accepted: fork, counter)");
-}
-
-std::string rng_kind_name(RngKind kind) {
-  switch (kind) {
-    case RngKind::kFork:
-      return "fork";
-    case RngKind::kCounter:
-      return "counter";
-  }
-  return "fork";
+                              "' (accepted: counter)");
 }
 
 TriggerSource trigger_source_from_name(const std::string& name) {
@@ -469,11 +463,10 @@ RunResult run_distributed(const AppConfig& config,
                                     exchange, grid)
                 : DistributedDomain(domain_config, comm, partitioner,
                                     exchange);
-        // Both RNG kinds key the dynamics off the same forked sub-seed, so
-        // neither can collide with the placement/gossip streams.
-        support::Rng dynamics_rng = support::Rng(config.seed).fork(1);
-        const std::uint64_t dynamics_seed = dynamics_rng.seed();
-        const bool counter = config.rng_kind == RngKind::kCounter;
+        // The dynamics key off their own forked sub-seed, so they cannot
+        // collide with the placement/gossip streams.
+        const std::uint64_t dynamics_seed =
+            support::Rng(config.seed).fork(1).seed();
         std::optional<support::ThreadPool> pool;
         if (config.threads > 1)
           pool.emplace(static_cast<std::size_t>(config.threads));
@@ -548,13 +541,8 @@ RunResult run_distributed(const AppConfig& config,
           }
 
           // Application dynamics (collective; independent of LB decisions).
-          if (counter)
-            (void)domain.step_counter(dynamics_seed, iter,
-                                      pool ? &*pool : nullptr);
-          else if (pool)
-            (void)domain.step(dynamics_rng, *pool);
-          else
-            (void)domain.step(dynamics_rng);
+          (void)domain.step_counter(dynamics_seed, iter,
+                                    pool ? &*pool : nullptr);
 
           // The trigger decides at the main rank; the verdict is broadcast
           // so every rank enters (or skips) the LB collectives in lockstep.
@@ -704,7 +692,7 @@ DomainConfig domain_of(const AppConfig& config) {
 
 /// The lockstep grouping rule of run_all: both configs step in-process and
 /// unsharded, and every input of their dynamics — the domain, the seed,
-/// the RNG kind, the horizon and the stepping threads — is equal.
+/// the horizon and the stepping threads — is equal.
 bool shares_dynamics(const AppConfig& a, const AppConfig& b) {
   const auto in_process = [](const AppConfig& c) {
     return c.shards == 1 && c.ranks == 1;
@@ -717,8 +705,7 @@ bool shares_dynamics(const AppConfig& a, const AppConfig& b) {
          a.strong_probability == b.strong_probability &&
          a.flop_per_cell == b.flop_per_cell &&
          a.bytes_per_cell == b.bytes_per_cell && a.seed == b.seed &&
-         a.rng_kind == b.rng_kind && a.iterations == b.iterations &&
-         a.threads == b.threads;
+         a.iterations == b.iterations && a.threads == b.threads;
 }
 
 /// The in-process run (ranks == 1) of one lockstep group: a single domain
@@ -728,13 +715,10 @@ bool shares_dynamics(const AppConfig& a, const AppConfig& b) {
 /// controller's LB steps. Results come back in group order.
 std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
   const AppConfig& lead = *group.front();
-  // Independent streams: the dynamics stream must not depend on LB decisions
-  // so every variant sees identical erosion for one seed. The counter kind
-  // keys off the same forked sub-seed (its draws are position-addressed, so
-  // the seed is all it consumes from the stream machinery).
-  support::Rng dynamics_rng = support::Rng(lead.seed).fork(1);
-  const std::uint64_t dynamics_seed = dynamics_rng.seed();
-  const bool counter = lead.rng_kind == RngKind::kCounter;
+  // Independent streams: the dynamics must not depend on LB decisions, so
+  // every variant sees identical erosion for one seed. The counter kernel
+  // consumes only the forked sub-seed (its draws are position-addressed).
+  const std::uint64_t dynamics_seed = support::Rng(lead.seed).fork(1).seed();
   const DomainConfig domain_config = domain_of(lead);
 
   // One partitioner per config serves both its centralized LB technique's
@@ -748,10 +732,8 @@ std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
     ctls.emplace_back(*config, std::move(partitioner), domain_config.columns);
   }
 
-  // shards == 1 keeps the historical unsharded paths (and their RNG
-  // trajectories); shards > 1 steps through ShardedDomain, whose trajectory
-  // is bit-identical to the serial shared-stream stepper regardless of the
-  // shard/thread counts.
+  // shards > 1 steps through ShardedDomain for its re-shard accounting; the
+  // trajectory is the unsharded one either way.
   std::optional<ErosionDomain> plain;
   std::optional<ShardedDomain> sharded;
   if (lead.shards > 1)
@@ -760,31 +742,19 @@ std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
     plain.emplace(domain_config);
   const ErosionDomain& domain = sharded ? sharded->domain() : *plain;
 
-  // Dynamics stepping: serial shared-stream below 2 threads, per-disc
-  // substreams on a pool otherwise (see AppConfig::threads).
+  // The counter kernel's pool; without one it steps inline.
   std::optional<support::ThreadPool> pool;
   if (lead.threads > 1) pool.emplace(static_cast<std::size_t>(lead.threads));
+  support::ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
 
   for (std::int64_t iter = 0; iter < lead.iterations; ++iter) {
     for (LbController& ctl : ctls) ctl.observe(iter, domain.column_weights());
 
     // --- application dynamics (independent of every LB decision)
-    if (counter) {
-      support::ThreadPool* p = pool ? &*pool : nullptr;
-      if (sharded)
-        sharded->step_counter(dynamics_seed, iter, p);
-      else
-        plain->step_counter(dynamics_seed, iter, p);
-    } else if (sharded) {
-      if (pool)
-        sharded->step(dynamics_rng, *pool);
-      else
-        sharded->step(dynamics_rng);
-    } else if (pool) {
-      plain->step(dynamics_rng, *pool);
-    } else {
-      plain->step(dynamics_rng);
-    }
+    if (sharded)
+      sharded->step_counter(dynamics_seed, iter, pool_ptr);
+    else
+      plain->step_counter(dynamics_seed, iter, pool_ptr);
 
     const double total_workload = domain.total_workload();
     std::optional<std::vector<double>> bytes;  // shared by this iteration's LBs
@@ -793,10 +763,10 @@ std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
         if (!bytes) bytes = domain.column_bytes();
         ctl.balance(iter, domain.column_weights(), *bytes, total_workload);
         if (sharded) {
-          // Re-shard the host-side stepping against the freshly balanced
-          // weights — the boundary workload deltas move with the LB step.
-          // The trajectory is shard-invariant, so this only affects host
-          // parallelism and the reported migration accounting.
+          // Re-shard against the freshly balanced weights — the boundary
+          // workload deltas move with the LB step. The trajectory is
+          // shard-invariant, so this only affects the reported migration
+          // accounting.
           const ReshardResult reshard = sharded->rebalance();
           ctl.result().shard_discs_moved += reshard.discs_moved;
           ctl.result().shard_migration_bytes += reshard.migration.total_bytes;

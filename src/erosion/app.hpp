@@ -19,8 +19,8 @@
 // to load balancing alone. `run_all` exploits this lockstep contract: it
 // steps the dynamics of a group of configs ONCE and drives one LbController
 // per config against the shared column weights. Configs share a group when
-// their make_domain() inputs, seed, RNG kind, iterations and threads are
-// equal and all of them step in-process unsharded (shards == 1, ranks == 1).
+// their make_domain() inputs, seed, iterations and threads are equal and
+// all of them step in-process unsharded (shards == 1, ranks == 1).
 // Every other config runs alone. Each result equals a solo run of its
 // config bit for bit.
 #pragma once
@@ -65,24 +65,19 @@ enum class AlphaPolicy {
 [[nodiscard]] AlphaPolicy alpha_policy_from_name(const std::string& name);
 [[nodiscard]] std::string alpha_policy_name(AlphaPolicy policy);
 
-/// Which random-number discipline steps the erosion dynamics. The two kinds
-/// are DIFFERENT (equally deterministic, equally golden-locked) streams —
-/// a run's trajectory is comparable only within one kind.
+/// The random-number discipline of the erosion dynamics. One kind remains:
+/// the `--rng` vocabulary and AppConfig::rng_kind keep naming it so scripts
+/// that pin `--rng counter` keep working.
 enum class RngKind {
-  /// Sequential mt19937_64 streams split by fork-in-disc-order — the
-  /// historical trajectories (shared stream at threads == 1, per-disc
-  /// substreams above; sharded/distributed reproduce the shared stream).
-  kFork,
   /// Counter-based Philox draws addressed by (disc, iteration, cell)
   /// through support::CounterRng: decide AND commit run fully parallel, and
   /// ONE trajectory serves every (threads × shards × ranks) combination.
   kCounter,
 };
 
-/// Parse "fork" | "counter" (the `--rng` vocabulary); throws
-/// std::invalid_argument on anything else.
+/// Parse "counter" (the `--rng` vocabulary); throws std::invalid_argument
+/// on anything else, with a dedicated message for the removed "fork" kind.
 [[nodiscard]] RngKind rng_kind_from_name(const std::string& name);
-[[nodiscard]] std::string rng_kind_name(RngKind kind);
 
 /// When to invoke the load balancer (the ablation knob of E-X2; the paper
 /// always uses the adaptive trigger).
@@ -152,12 +147,9 @@ struct AppConfig {
   bool oracle_wir = false;
   bsp::CommModel comm{};
   std::uint64_t seed = 1;
-  /// Host threads stepping the erosion dynamics. 1 = the classic serial
-  /// stepper (one shared RNG stream, the historical trajectory). Any value
-  /// > 1 switches to per-disc RNG substreams stepped on a thread pool —
-  /// bit-identical across all thread counts > 1, but a different (equally
-  /// deterministic) trajectory than the serial stepper. The virtual-time
-  /// results are unaffected by the host's real scheduling either way.
+  /// Host threads stepping the erosion dynamics (the counter kernel's
+  /// pool). The trajectory is bit-identical for every value; 1 steps
+  /// inline on the calling thread.
   std::int64_t threads = 1;
   /// Add Eq. (11)'s anticipated underloading overhead to the trigger
   /// threshold (ULBA only) — §III-C: "the load balancer is called every time
@@ -175,22 +167,21 @@ struct AppConfig {
   std::string partitioner = "greedy-scan";
 
   /// Host-side shards stepping the erosion dynamics (erosion::ShardedDomain).
-  /// 1 = the unsharded classic paths (serial shared stream, or the per-disc
-  /// substream pool when `threads` > 1). K > 1 splits the discs across K
-  /// shards cut by `partitioner` and re-shards at every LB step; the
-  /// trajectory is bit-identical to the serial shared-stream stepper for
-  /// every (K, partitioner, threads) combination.
+  /// 1 = the plain ErosionDomain. K > 1 splits the discs across K shards
+  /// cut by `partitioner` and re-shards at every LB step, for the re-shard
+  /// accounting; the trajectory is the unsharded one for every (K,
+  /// partitioner, threads) combination.
   std::int64_t shards = 1;
 
   /// SPMD ranks stepping the erosion dynamics through the message-passing
   /// runtime (erosion::DistributedDomain): each rank owns a contiguous
   /// column stripe plus the discs centered in it — no shared state — and
   /// halo deltas, frontier metadata, and LB-step migrations travel as real
-  /// runtime::Mailbox messages. 1 = the in-process steppers (plain, pooled,
-  /// or sharded). The trajectory and the final report are bit-identical to
-  /// the serial shared-stream stepper for every (ranks, partitioner,
-  /// threads) combination; `threads` > 1 gives each rank its own stepping
-  /// pool. Mutually exclusive with `shards` > 1.
+  /// runtime::Mailbox messages. 1 = the in-process steppers (plain or
+  /// sharded). The trajectory and the final report are bit-identical to
+  /// the serial run for every (ranks, partitioner, threads) combination;
+  /// `threads` > 1 gives each rank its own stepping pool. Mutually
+  /// exclusive with `shards` > 1.
   std::int64_t ranks = 1;
 
   /// Per-step exchange protocol of the distributed stepper, by
@@ -208,7 +199,7 @@ struct AppConfig {
   /// to edge AND corner neighbor tiles. The gathered monitoring weights of
   /// a grid run come from a rank-0 monitor fed by integer deltas, so the
   /// whole RunResult trajectory stays bit-identical to the serial run for
-  /// both RNG kinds and every grid shape.
+  /// every grid shape.
   std::string decomp = "stripes";
   /// Grid shape request (decomp == "grid"): 0 = derive that dimension
   /// (both 0 = near-square factorization of `ranks`). A non-factorable
@@ -265,13 +256,10 @@ struct AppConfig {
   /// and LB step agree on the α about to be applied.
   AlphaPolicy alpha_policy = AlphaPolicy::kFixed;
 
-  /// RNG discipline of the erosion dynamics (see RngKind). kFork keeps the
-  /// historical golden trajectories; kCounter switches every stepper —
-  /// plain, pooled, sharded, distributed — onto the shared counter-kernel
-  /// fast path, whose single trajectory is invariant across ALL of
-  /// `threads`, `shards`, and `ranks`. The dynamics stay independent of LB
-  /// decisions in both kinds.
-  RngKind rng_kind = RngKind::kFork;
+  /// RNG discipline of the erosion dynamics (see RngKind): the counter
+  /// kernel, whose single trajectory is invariant across `threads`,
+  /// `shards`, and `ranks` and independent of LB decisions.
+  RngKind rng_kind = RngKind::kCounter;
 
   void validate() const;
 

@@ -1,28 +1,24 @@
-// The counter-RNG erosion fast path — ONE decide+apply kernel shared by all
+// The erosion step kernel — ONE decide+apply implementation shared by all
 // steppers (serial, pooled, sharded, distributed).
 //
-// The fork-RNG steppers are decide-parallel at best: the stream split, the
-// burn passes, and the commit all serialize in disc order because mt19937
-// draws only exist in sequence. With support::CounterRng every Bernoulli
-// draw is addressed by (disc, iteration, cell index) instead, so NOTHING in
-// the step depends on evaluation order:
+// Every Bernoulli draw is addressed by (disc, iteration, cell index) through
+// support::CounterRng, so NOTHING in the step depends on evaluation order:
 //
 //   A. flatten — the per-disc pre-step frontiers are copied into one
 //      contiguous SoA array (cell indices + per-disc offsets), and the
 //      per-disc trials -> threshold table ceil((1-(1-p)^trials) * 2^53) is
 //      precomputed once (trials <= 8): the per-cell decision collapses to
-//      `draw >> 11 < threshold`, eliminating both the pow() and the
-//      int -> double conversion the fork path pays per cell, while staying
-//      bit-equal to `uniform01(draw) < p_eff` (scaling by 2^53 is exact);
+//      `draw >> 11 < threshold`, with no pow() and no int -> double
+//      conversion per cell, while staying bit-equal to
+//      `uniform01(draw) < p_eff` (scaling by 2^53 is exact);
 //   B. decide — one batched pass over the flat array, chunked across the
 //      ThreadPool (contiguous ranges, NOT per-cell tasks: parallel_for
 //      claims indices under a mutex and is sized for coarse items). Each
 //      cell's draw is CounterRng(seed, disc_id).draw(iteration, cell), so
 //      any chunking yields identical flags;
 //   C. apply — per-disc compaction of the flagged cells (in frontier
-//      order, matching decide_disc's output order) + apply_disc, one task
-//      per disc across the pool. Disc state is disc-local, so discs are
-//      independent.
+//      order) + apply_disc, one task per disc across the pool. Disc state
+//      is disc-local, so discs are independent.
 //
 // Without a pool the flatten/compact round-trip is skipped entirely: the
 // serial path decides straight off each disc's frontier into ws.erode —
@@ -56,8 +52,8 @@ struct CounterWorkspace {
   std::vector<std::uint8_t> flags;    ///< 1 = cell erodes; parallel to cells
   /// Per disc: trials -> ceil(p_eff * 2^53), the integer Bernoulli gate.
   std::vector<std::array<std::uint64_t, 9>> thresh;
-  /// Per-disc eroded cells (frontier order — decide_disc's output order),
-  /// the caller's commit input. Entry k belongs to discs[k].
+  /// Per-disc eroded cells (frontier order), the caller's commit input.
+  /// Entry k belongs to discs[k].
   std::vector<std::vector<std::int32_t>> erode;
 };
 

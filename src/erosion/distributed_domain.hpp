@@ -11,23 +11,21 @@
 //   * per step, each rank sends every peer the (column, eroded-cell-count)
 //     deltas that land in the peer's stripe — the halo exchange a disc
 //     straddling a boundary requires — together with the updated frontier
-//     sizes of its own discs (the metadata the lockstep stream split needs)
-//     and its eroded-cell total;
+//     sizes of its own discs (the replicated metadata behind
+//     frontier_size() and the `per-step exchange` report) and its
+//     eroded-cell total;
 //   * per rebalance, the stripes are recut by any lb::Partitioner and both
 //     column weights and whole DiscStates change owner as serialized
 //     messages, with the analytic lb::migration_volume prediction validated
 //     against the columns that were actually exchanged.
 //
-// Determinism contract (the distributed extension of the sharded
-// partition-invariance property, locked by tests/test_distributed_erosion):
-// for EVERY (rank count, partitioner, per-rank thread count) the trajectory
-// and the final domain report are BIT-identical to the serial shared-stream
-// ErosionDomain::step(rng), including the master RNG's post-run state. The
-// same three disciplines as ShardedDomain make this possible, with one
-// twist: every rank advances its own lockstep COPY of the master stream by
-// the full Σ frontier_i draws (Bernoulli consumption is p-independent), so
-// the per-disc snapshots are positioned identically on every rank without
-// any stream ever crossing the wire.
+// Determinism contract (locked by tests/test_distributed_erosion): each
+// rank steps its own discs through the counter kernel
+// (erosion/counter_kernel.hpp), whose draws are addressed by (global disc
+// id, iteration, cell). No RNG state exists to position or communicate, so
+// for EVERY (rank count, partitioner, exchange mode, per-rank thread count)
+// the trajectory and the final domain report are BIT-identical to
+// ErosionDomain::step_counter on an undistributed copy.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +42,6 @@
 #include "lb/partitioners.hpp"
 #include "lb/stripe_partitioner.hpp"
 #include "runtime/comm.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ulba::erosion {
@@ -82,9 +79,9 @@ enum class ExchangeMode {
 /// rank-0 monitor fed by integer eroded-cell deltas, folded one constant
 /// increment per cell — bit-identical to the serial incremental weights for
 /// ANY tile shape, which is what keeps the whole RunResult trajectory
-/// serial-identical in 2D for both RNG kinds. A 1-row grid with the tuner
-/// off is not merely equivalent to stripes: it runs the stripe code path,
-/// so "1xC == 1D stripes" holds by code identity.
+/// serial-identical in 2D. A 1-row grid with the tuner off is not merely
+/// equivalent to stripes: it runs the stripe code path, so "1xC == 1D
+/// stripes" holds by code identity.
 struct GridOptions {
   std::int64_t grid_rows = 0;  ///< 0 = derive (near-square factorization)
   std::int64_t grid_cols = 0;  ///< 0 = derive from grid_rows
@@ -157,24 +154,12 @@ class DistributedDomain {
                     std::shared_ptr<const lb::Partitioner> partitioner,
                     ExchangeMode exchange, const GridOptions& grid);
 
-  /// Collective: one erosion iteration (local discs stepped serially).
-  /// Returns the GLOBAL eroded-cell count — the value the serial
-  /// ErosionDomain::step(rng) returns.
-  std::int64_t step(support::Rng& rng);
-
-  /// Collective: one erosion iteration, local discs stepped across `pool`
-  /// (a rank-local pool). Bit-identical to the serial overload.
-  std::int64_t step(support::Rng& rng, support::ThreadPool& pool);
-
-  /// Collective: one erosion iteration on the counter-RNG fast path. Draws
-  /// are addressed by (global disc id, iteration, cell) through
-  /// support::CounterRng, so the lockstep burn pass of `step(rng)`
-  /// disappears entirely — no rank ever advances a master-stream copy, and
-  /// the per-step cost of a rank is O(its own frontier), not O(the global
-  /// frontier). Bit-identical to ErosionDomain::step_counter on an
-  /// undistributed copy for every (rank count, partitioner, exchange mode,
-  /// pool size) by construction; shares the halo/reduction exchange with
-  /// the fork path.
+  /// Collective: one erosion iteration, local discs stepped through the
+  /// counter kernel (on `pool` when given, a rank-local pool). Returns the
+  /// GLOBAL eroded-cell count. Per-step cost of a rank is O(its own
+  /// frontier), not O(the global frontier). Bit-identical to
+  /// ErosionDomain::step_counter on an undistributed copy for every (rank
+  /// count, partitioner, exchange mode, pool size) by construction.
   std::int64_t step_counter(std::uint64_t seed, std::int64_t iteration,
                             support::ThreadPool* pool = nullptr);
 
@@ -290,9 +275,6 @@ class DistributedDomain {
     return rock_remaining_;
   }
   [[nodiscard]] std::int64_t frontier_size() const noexcept;
-  /// Current frontier size of any disc (replicated metadata — this is what
-  /// the lockstep stream split burns per disc).
-  [[nodiscard]] std::int64_t disc_frontier_size(std::size_t disc) const;
 
   [[nodiscard]] DistributedReport report() const noexcept {
     return {eroded_, rock_remaining_, frontier_size(), total_};
@@ -353,7 +335,7 @@ class DistributedDomain {
   void drain_pending_deltas() const;
   /// Grid-mode rebalance body (dispatched from rebalance(full)).
   DistributedReshardResult rebalance_grid(std::span<const double> full);
-  /// The stepper tail every RNG kind shares — commit my columns, bucket and
+  /// The stepper tail after the kernel — commit my columns, bucket and
   /// exchange halo deltas + frontier metadata + the eroded reduction, fold
   /// the replicated global accounting. `erode[k]` holds the cells the k-th
   /// LOCAL disc eroded this step. Returns the global eroded count.

@@ -27,9 +27,7 @@ void ShardedDomain::assign_discs() {
   for (auto& discs : shard_discs_) discs.clear();
   // A disc belongs to the shard whose stripe holds its center column; discs
   // are strictly interior, so the center always falls into exactly one
-  // stripe. Ascending disc order per shard keeps the per-shard decide order
-  // deterministic (not that it matters for the trajectory — every disc draws
-  // from its own positioned snapshot).
+  // stripe. Discs are listed per shard in ascending order.
   for (std::size_t i = 0; i < domain_.disc_count(); ++i) {
     const std::int64_t cx = domain_.config().discs[i].cx;
     const auto it =
@@ -56,55 +54,6 @@ std::int64_t ShardedDomain::shard_of_disc(std::size_t disc) const {
 
 std::vector<double> ShardedDomain::shard_loads() const {
   return lb::stripe_loads(domain_.column_weights(), boundaries_);
-}
-
-void ShardedDomain::decide_and_apply_shard(
-    std::size_t shard, std::span<support::Rng> rngs,
-    std::vector<std::vector<std::int32_t>>& erode) {
-  for (const std::size_t i : shard_discs_[shard]) {
-    erode[i] = decide_disc(domain_.discs_[i], rngs[i]);
-    apply_disc(domain_.discs_[i], erode[i]);
-  }
-}
-
-std::int64_t ShardedDomain::step(support::Rng& rng) {
-  support::ThreadPool serial(1);
-  return step(rng, serial);
-}
-
-std::int64_t ShardedDomain::step(support::Rng& rng,
-                                 support::ThreadPool& pool) {
-  const std::size_t n = domain_.disc_count();
-
-  // Phase 1 — split the master stream, serially, in disc order: disc i
-  // decides from a snapshot of the master positioned exactly where the
-  // serial stepper would have it, i.e. after the Σ_{j<i} frontier_j draws of
-  // the preceding discs. Burning with a fixed probability consumes the same
-  // engine state as the data-dependent draws would (Bernoulli consumption is
-  // p-independent), so the master leaves this loop in the serial stepper's
-  // post-step state.
-  std::vector<support::Rng> rngs;
-  rngs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rngs.push_back(rng);
-    const std::int64_t draws = domain_.disc_frontier_size(i);
-    for (std::int64_t d = 0; d < draws; ++d) (void)rng.bernoulli(0.5);
-  }
-
-  // Phase 2 — decide + apply, one task per shard. Disc state is disc-local
-  // and every disc owns its positioned snapshot, so shards are independent.
-  std::vector<std::vector<std::int32_t>> erode(n);
-  pool.parallel_for(shard_discs_.size(), [&](std::size_t shard) {
-    decide_and_apply_shard(shard, rngs, erode);
-  });
-
-  // Phase 3 — commit the shared per-column accounting serially, in disc
-  // order, for bit-identical floating-point sums.
-  std::int64_t eroded = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    eroded += domain_.commit_disc(domain_.discs_[i], erode[i]);
-  domain_.eroded_ += eroded;
-  return eroded;
 }
 
 std::int64_t ShardedDomain::step_counter(std::uint64_t seed,

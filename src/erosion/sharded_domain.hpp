@@ -1,36 +1,19 @@
-// Sharded erosion domain — the multi-node scale-up of the erosion workload.
+// Sharded erosion domain — the in-process ownership layer of the erosion
+// workload.
 //
 // The discs of one ErosionDomain are split across K shards by any pluggable
 // lb::Partitioner: the partitioner cuts the per-column workload into K
 // stripes (even targets), and a disc belongs to the shard whose stripe holds
-// its center column. Shards then step their discs concurrently on a
-// support::ThreadPool.
+// its center column.
 //
-// Determinism contract — the load-bearing property the partition-invariance
-// suite (tests/test_sharded_erosion.cpp) locks down: a sharded step is
-// BIT-IDENTICAL to the serial shared-stream `ErosionDomain::step(rng)`, for
-// every (shard count, partitioner, thread count) combination, including the
-// master RNG's post-step state. Three disciplines make that possible:
-//
-//   1. Stream split (serial, disc order). `decide_disc` consumes exactly one
-//      Bernoulli draw per frontier cell (every frontier cell has ≥ 1 fluid
-//      face, and fluid never reverts to rock — see
-//      ErosionDomain::disc_frontier_size). So the master stream position at
-//      which disc i starts drawing is known BEFORE any decision is taken:
-//      snapshot a copy of the master per disc, then advance the master by
-//      frontier-size draws. Bernoulli engine consumption is independent of
-//      the success probability, so burning with a fixed p reproduces the
-//      exact engine state the serial stepper would reach.
-//   2. Decide + apply (parallel over shards). Disc state is disc-local
-//      (discs are pairwise disjoint by construction), and each disc draws
-//      from its own positioned snapshot — scheduling cannot reorder draws.
-//   3. Commit (serial, disc order). The shared per-column FLOP accounting is
-//      summed in the serial order, so floating-point results are bit-equal.
-//
-// Because the trajectory is invariant to the assignment, re-sharding is free
-// of simulation drift: `rebalance()` recuts against the CURRENT weights and
-// exchanges disc ownership (the boundary workload deltas), reporting the
-// migration volume the move would cost on a real machine.
+// Stepping delegates to ErosionDomain::step_counter. Its draws are
+// addressed by (disc, iteration, cell), so the shard assignment cannot
+// influence the trajectory at all: a sharded step is BIT-identical to the
+// unsharded one for every (shard count, partitioner, thread count)
+// combination — locked by tests/test_sharded_erosion.cpp. What sharding
+// adds is the re-shard accounting: `rebalance()` recuts against the CURRENT
+// weights and exchanges disc ownership (the boundary workload deltas),
+// reporting the migration volume the move would cost on a real machine.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +25,6 @@
 #include "lb/migration.hpp"
 #include "lb/partitioners.hpp"
 #include "lb/stripe_partitioner.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ulba::erosion {
@@ -62,28 +44,16 @@ class ShardedDomain {
   ShardedDomain(DomainConfig config, std::int64_t shard_count,
                 std::shared_ptr<const lb::Partitioner> partitioner);
 
-  /// One erosion iteration, shards stepped serially (still in the sharded
-  /// decide/commit discipline — bit-identical to the pool overload).
-  std::int64_t step(support::Rng& rng);
-
-  /// One erosion iteration, shards stepped across `pool`. Bit-identical to
-  /// `ErosionDomain::step(rng)` on an unsharded copy, for every pool size.
-  std::int64_t step(support::Rng& rng, support::ThreadPool& pool);
-
-  /// One erosion iteration on the counter-RNG fast path — delegates to
-  /// ErosionDomain::step_counter, where draws are position-addressed, so the
-  /// shard assignment cannot influence the trajectory AT ALL: bit-identical
-  /// to the unsharded counter stepper for every (shard count, partitioner,
-  /// pool size) by construction. Sharding remains the ownership/migration
-  /// accounting layer (rebalance, shard_loads); stepping parallelism comes
-  /// from the kernel's flat chunking instead of per-shard tasks.
+  /// One erosion iteration — delegates to ErosionDomain::step_counter, so
+  /// the result is bit-identical to the unsharded stepper for every (shard
+  /// count, partitioner, pool size).
   std::int64_t step_counter(std::uint64_t seed, std::int64_t iteration,
                             support::ThreadPool* pool = nullptr);
 
   /// Recut the shard stripes against the current column weights (even
   /// targets) and exchange disc ownership accordingly. The stepping
-  /// trajectory is unaffected — only host-side parallelism and the reported
-  /// migration volume change.
+  /// trajectory is unaffected — only the reported migration volume
+  /// changes.
   ReshardResult rebalance();
 
   /// The underlying domain (weights, totals, erosion observers).
@@ -106,15 +76,12 @@ class ShardedDomain {
       std::int64_t shard) const;
   /// The shard owning disc `disc`.
   [[nodiscard]] std::int64_t shard_of_disc(std::size_t disc) const;
-  /// Summed column weight per shard — the host-side stepping balance.
+  /// Summed column weight per shard.
   [[nodiscard]] std::vector<double> shard_loads() const;
 
  private:
   /// Recompute shard_discs_/disc_shard_ from boundaries_.
   void assign_discs();
-  /// Phase 1+2 for every disc of one shard (snapshots positioned upstream).
-  void decide_and_apply_shard(std::size_t shard, std::span<support::Rng> rngs,
-                              std::vector<std::vector<std::int32_t>>& erode);
 
   ErosionDomain domain_;
   std::shared_ptr<const lb::Partitioner> partitioner_;

@@ -1,10 +1,9 @@
 // Counter-based random numbers — draws addressable by position.
 //
 // `Rng` (rng.hpp) is a sequential engine: the value of draw #k depends on
-// having advanced through draws #0..k-1, so every stepper that wants
-// bit-identical results across thread/shard/rank counts must reproduce the
-// serial draw ORDER (the fork-in-disc-order discipline of ShardedDomain /
-// DistributedDomain, with its burn passes and positioned snapshots).
+// having advanced through draws #0..k-1, so a parallel stepper drawing from
+// it would have to reproduce the serial draw ORDER to stay bit-identical
+// across thread/shard/rank counts.
 //
 // `CounterRng` removes the order dependence entirely: it is a keyed pure
 // function from a 128-bit counter to random bits (Philox4x32-10, Salmon et

@@ -11,8 +11,8 @@
 // Determinism contract: parallel_for guarantees every index is executed
 // exactly once and the call does not return before all indices finish; it
 // guarantees nothing about order. Callers that need reproducible results must
-// make iterations independent (e.g. per-index RNG substreams) — see
-// ErosionDomain::step(rng, pool).
+// make iterations independent (e.g. position-addressed draws) — see
+// erosion::counter_decide_apply.
 #pragma once
 
 #include <condition_variable>

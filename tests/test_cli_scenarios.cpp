@@ -73,8 +73,8 @@ TEST(CliGolden, Erosion) {
 }
 
 TEST(CliGolden, ErosionThreaded) {
-  // The --threads path commits per-disc substreams serially, so its virtual-
-  // time report is a stable golden too (and identical for every N > 1).
+  // The pooled counter kernel is bit-identical to the serial one, so the
+  // --threads report is a stable golden too (and identical for every N).
   expect_matches_golden(
       "erosion_threads", {"erosion", "--pes", "16", "--iterations", "60",
                           "--columns-per-pe", "48", "--rows", "64",
@@ -125,15 +125,13 @@ TEST(CliGolden, ErosionDistributed) {
 }
 
 TEST(CliGolden, ErosionCounter) {
-  // The counter-RNG fast path (--rng counter): a DIFFERENT golden trajectory
-  // than the fork goldens above — position-addressed Philox draws — and THE
-  // one trajectory every threads/shards/ranks combination must reproduce
-  // (see CounterReportInvariantAcrossSteppers below).
+  // Pinning the only RNG kind (--rng counter) changes nothing: the report
+  // is the default one, THE trajectory every threads/shards/ranks
+  // combination must reproduce (see CounterReportInvariantAcrossSteppers).
   expect_matches_golden(
-      "erosion_counter", {"erosion", "--pes", "16", "--iterations", "60",
-                          "--columns-per-pe", "48", "--rows", "64",
-                          "--rock-radius", "16", "--seed", "3", "--rng",
-                          "counter"});
+      "erosion", {"erosion", "--pes", "16", "--iterations", "60",
+                  "--columns-per-pe", "48", "--rows", "64", "--rock-radius",
+                  "16", "--seed", "3", "--rng", "counter"});
 }
 
 TEST(CliGolden, IntervalQuality) {
@@ -239,7 +237,7 @@ TEST(CliScenarios, DistributedReportMatchesSerialReport) {
 
 // The counter kind's report is invariant across EVERY stepping substrate —
 // threads, shards, ranks — modulo the substrate-specific header/accounting
-// lines, and differs from the fork kind's report for the same seed.
+// lines.
 TEST(CliScenarios, CounterReportInvariantAcrossSteppers) {
   const std::vector<std::string> base{
       "erosion", "--pes",        "16", "--iterations", "60",
@@ -273,12 +271,6 @@ TEST(CliScenarios, CounterReportInvariantAcrossSteppers) {
   EXPECT_EQ(serial, with({"--ranks", "4", "--threads", "2"})) << "--ranks";
   EXPECT_EQ(serial, with({"--ranks", "8", "--exchange", "alltoall"}))
       << "--ranks 8 alltoall";
-
-  // Same seed, fork kind: a different trajectory (and no counter header).
-  std::vector<std::string> fork_args(base.begin(), base.end() - 2);
-  EXPECT_NE(serial, strip(run_cli(fork_args)));
-  EXPECT_EQ(run_cli(fork_args).find("counter-based RNG"), std::string::npos)
-      << "the fork report must not carry the counter header";
 }
 
 // ---------------------------------------------------------------------------
@@ -411,6 +403,8 @@ TEST(CliScenarios, RngFlagIsValidatedAndComposesWithMeasuredMode) {
   EXPECT_THROW(run({"erosion", "--rng", "philox"}, out),
                std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--rng", ""}, out), std::invalid_argument);
+  // The fork kind was removed: it is a usage error, not a silent fallback.
+  EXPECT_THROW(run({"erosion", "--rng", "fork"}, out), std::invalid_argument);
   // --mt without --ranks is rejected, whatever the --rng...
   EXPECT_THROW(run({"erosion", "--mt", "--rng", "counter"}, out),
                std::invalid_argument);

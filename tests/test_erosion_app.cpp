@@ -215,9 +215,8 @@ void expect_same_result(const RunResult& got, const RunResult& want,
 
 /// LB variants of one problem that share its dynamics: methods, α values,
 /// α policies, triggers, oracle dissemination and partitioners.
-std::vector<AppConfig> lb_variants(RngKind rng, std::int64_t threads) {
+std::vector<AppConfig> lb_variants(std::int64_t threads) {
   AppConfig base = small_config(Method::kStandard, 2, 3);
-  base.rng_kind = rng;
   base.threads = threads;
   base.bytes_per_cell = 256.0;
   base.comm.latency_s = 1e-4;
@@ -259,26 +258,23 @@ std::vector<AppConfig> lb_variants(RngKind rng, std::int64_t threads) {
 }
 
 TEST(RunAll, LockstepGroupMatchesSoloRuns) {
-  for (const RngKind rng : {RngKind::kFork, RngKind::kCounter}) {
-    for (const std::int64_t threads : {1, 3}) {
-      const std::vector<AppConfig> configs = lb_variants(rng, threads);
-      const std::vector<RunResult> group = run_all(configs);
-      ASSERT_EQ(group.size(), configs.size());
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        const std::string what = "rng " + rng_kind_name(rng) + ", threads " +
-                                 std::to_string(threads) + ", variant " +
-                                 std::to_string(i);
-        const RunResult solo = ErosionApp(configs[i]).run();
-        expect_same_result(group[i], solo, what);
-      }
-      // The variants really differ: the group is not one result copied.
-      EXPECT_GE(group[0].lb_count, 1);
-      EXPECT_EQ(group[7].lb_count, 0);  // the never trigger
-      std::vector<double> totals;
-      for (const RunResult& r : group) totals.push_back(r.total_seconds);
-      std::sort(totals.begin(), totals.end());
-      EXPECT_GE(std::unique(totals.begin(), totals.end()) - totals.begin(), 4);
+  for (const std::int64_t threads : {1, 3}) {
+    const std::vector<AppConfig> configs = lb_variants(threads);
+    const std::vector<RunResult> group = run_all(configs);
+    ASSERT_EQ(group.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const std::string what = "threads " + std::to_string(threads) +
+                               ", variant " + std::to_string(i);
+      const RunResult solo = ErosionApp(configs[i]).run();
+      expect_same_result(group[i], solo, what);
     }
+    // The variants really differ: the group is not one result copied.
+    EXPECT_GE(group[0].lb_count, 1);
+    EXPECT_EQ(group[7].lb_count, 0);  // the never trigger
+    std::vector<double> totals;
+    for (const RunResult& r : group) totals.push_back(r.total_seconds);
+    std::sort(totals.begin(), totals.end());
+    EXPECT_GE(std::unique(totals.begin(), totals.end()) - totals.begin(), 4);
   }
 }
 

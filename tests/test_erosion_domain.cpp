@@ -5,10 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 namespace ulba::erosion {
 namespace {
+
+/// Steps one domain through consecutive iterations of one counter stream.
+struct Stepper {
+  ErosionDomain& dom;
+  std::uint64_t seed;
+  std::int64_t iteration = 0;
+  std::int64_t operator()() { return dom.step_counter(seed, iteration++); }
+};
 
 DomainConfig small_config(double prob = 0.4) {
   DomainConfig c;
@@ -82,38 +92,38 @@ TEST(Domain, FrontierStartsOnTheRim) {
 
 TEST(Domain, ZeroProbabilityNeverErodes) {
   ErosionDomain dom(small_config(0.0));
-  support::Rng rng(1);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(dom.step(rng), 0);
+  Stepper step{dom, 1};
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(step(), 0);
   EXPECT_EQ(dom.rock_cells_remaining(), 317);
 }
 
 TEST(Domain, ProbabilityOneErodesWholeFrontierEachStep) {
   ErosionDomain dom(small_config(1.0));
-  support::Rng rng(2);
+  Stepper step{dom, 2};
   const auto frontier_before = dom.frontier_size();
-  const auto eroded = dom.step(rng);
+  const auto eroded = step();
   EXPECT_EQ(eroded, frontier_before);
 }
 
 TEST(Domain, ProbabilityOneEventuallyErodesEverything) {
   ErosionDomain dom(small_config(1.0));
-  support::Rng rng(3);
+  Stepper step{dom, 3};
   // A radius-10 disc erodes layer by layer: ≤ r + a few steps.
   for (int i = 0; i < 20 && dom.rock_cells_remaining() > 0; ++i)
-    (void)dom.step(rng);
+    (void)step();
   EXPECT_EQ(dom.rock_cells_remaining(), 0);
   EXPECT_EQ(dom.eroded_cells(), 317);
   EXPECT_EQ(dom.frontier_size(), 0);
   // Further steps are harmless no-ops.
-  EXPECT_EQ(dom.step(rng), 0);
+  EXPECT_EQ(step(), 0);
 }
 
 TEST(Domain, WorkloadGrowsByRefinementFactorPerErodedCell) {
   const DomainConfig c = small_config(0.4);
   ErosionDomain dom(c);
   const double w0 = dom.total_workload();
-  support::Rng rng(4);
-  const auto eroded = dom.step(rng);
+  Stepper step{dom, 4};
+  const auto eroded = step();
   ASSERT_GT(eroded, 0);
   EXPECT_NEAR(dom.total_workload(),
               w0 + static_cast<double>(eroded) * 4.0 * 52.0, 1e-6);
@@ -121,17 +131,17 @@ TEST(Domain, WorkloadGrowsByRefinementFactorPerErodedCell) {
 
 TEST(Domain, RockPlusErodedIsConserved) {
   ErosionDomain dom(small_config(0.3));
-  support::Rng rng(5);
-  for (int i = 0; i < 15; ++i) (void)dom.step(rng);
+  Stepper step{dom, 5};
+  for (int i = 0; i < 15; ++i) (void)step();
   EXPECT_EQ(dom.rock_cells_remaining() + dom.eroded_cells(), 317);
 }
 
 TEST(Domain, ErosionIsMonotone) {
   ErosionDomain dom(small_config(0.2));
-  support::Rng rng(6);
+  Stepper step{dom, 6};
   std::int64_t prev_rock = dom.rock_cells_remaining();
   for (int i = 0; i < 25; ++i) {
-    (void)dom.step(rng);
+    (void)step();
     EXPECT_LE(dom.rock_cells_remaining(), prev_rock);
     prev_rock = dom.rock_cells_remaining();
   }
@@ -140,9 +150,9 @@ TEST(Domain, ErosionIsMonotone) {
 TEST(Domain, DeterministicForFixedSeed) {
   const auto run = [](std::uint64_t seed) {
     ErosionDomain dom(small_config(0.4));
-    support::Rng rng(seed);
+    Stepper step{dom, seed};
     std::vector<std::int64_t> trace;
-    for (int i = 0; i < 10; ++i) trace.push_back(dom.step(rng));
+    for (int i = 0; i < 10; ++i) trace.push_back(step());
     return trace;
   };
   EXPECT_EQ(run(42), run(42));
@@ -157,16 +167,16 @@ TEST(Domain, StrongDiscErodesFasterThanWeak) {
   RockDisc strong{150, 30, 10, 0.4};
   c.discs = {weak, strong};
   ErosionDomain dom(c);
-  support::Rng rng(7);
-  for (int i = 0; i < 10; ++i) (void)dom.step(rng);
+  Stepper step{dom, 7};
+  for (int i = 0; i < 10; ++i) (void)step();
   EXPECT_GT(dom.disc_rock_remaining(0), dom.disc_rock_remaining(1));
 }
 
 TEST(Domain, ColumnBytesProportionalToWeights) {
   const DomainConfig c = small_config();
   ErosionDomain dom(c);
-  support::Rng rng(8);
-  (void)dom.step(rng);
+  Stepper step{dom, 8};
+  (void)step();
   const auto w = dom.column_weights();
   const auto b = dom.column_bytes();
   ASSERT_EQ(w.size(), b.size());
@@ -181,8 +191,8 @@ TEST(Domain, MultipleDiscsErodeIndependently) {
   c.discs = {RockDisc{50, 30, 10, 1.0}, RockDisc{150, 30, 10, 0.0},
              RockDisc{250, 30, 10, 1.0}};
   ErosionDomain dom(c);
-  support::Rng rng(9);
-  for (int i = 0; i < 15; ++i) (void)dom.step(rng);
+  Stepper step{dom, 9};
+  for (int i = 0; i < 15; ++i) (void)step();
   EXPECT_EQ(dom.disc_rock_remaining(0), 0);
   EXPECT_EQ(dom.disc_rock_remaining(1), 317);
   EXPECT_EQ(dom.disc_rock_remaining(2), 0);
@@ -190,10 +200,10 @@ TEST(Domain, MultipleDiscsErodeIndependently) {
 
 TEST(Domain, ErodedColumnGainsWeightLocally) {
   ErosionDomain dom(small_config(1.0));
-  support::Rng rng(10);
+  Stepper step{dom, 10};
   const std::vector<double> before(dom.column_weights().begin(),
                                    dom.column_weights().end());
-  (void)dom.step(rng);
+  (void)step();
   const auto after = dom.column_weights();
   // The leftmost disc column (x = 40) held exactly the rim cell, which has
   // now refined: weight increased there; far-away columns are untouched.

@@ -2,11 +2,11 @@
 //
 // The load-bearing claim of the sharded stepper: for EVERY (shard count,
 // partitioner, thread count) combination, the trajectory is bit-identical to
-// the serial shared-stream ErosionDomain::step(rng) — same per-column FLOP
-// accounting (exact floating-point equality, commit order preserved), same
-// erosion counters, and the same master-RNG post-run state. On top of that,
-// every partitioner must produce a complete, disjoint disc cover at
-// construction and after every rebalance.
+// the serial unsharded ErosionDomain::step_counter — same per-column FLOP
+// accounting (exact floating-point equality) and the same erosion counters,
+// across mid-run rebalances. On top of that, every partitioner must produce
+// a complete, disjoint disc cover at construction and after every
+// rebalance.
 //
 // Domain configurations come from the shared randomized factory
 // (tests/test_helpers.hpp), so widening the tested envelope is a one-place
@@ -74,21 +74,6 @@ void expect_domains_bit_identical(const ErosionDomain& expected,
     ASSERT_EQ(w_exp[x], w_act[x]) << what << " — column " << x;
 }
 
-/// Domain comparison plus the master streams that stepped them (drained a
-/// few draws to compare engine positions).
-void expect_bit_identical(const ErosionDomain& expected,
-                          const ErosionDomain& actual,
-                          support::Rng expected_rng, support::Rng actual_rng,
-                          const std::string& what) {
-  expect_domains_bit_identical(expected, actual, what);
-  // The master stream must leave the run in the same state: the serial
-  // stepper's data-dependent draws and the sharded stepper's stream split
-  // must consume identical engine amounts.
-  for (int d = 0; d < 4; ++d)
-    ASSERT_EQ(expected_rng(), actual_rng()) << what << " — post-run draw "
-                                            << d;
-}
-
 TEST(ShardedErosion, PartitionerCoverIsCompleteAndDisjoint) {
   support::Rng rng(2024);
   for (int trial = 0; trial < 6; ++trial) {
@@ -103,44 +88,10 @@ TEST(ShardedErosion, PartitionerCoverIsCompleteAndDisjoint) {
   }
 }
 
-TEST(ShardedErosion, BitIdenticalToSerialForEveryShardPartitionerPool) {
-  constexpr int kSteps = 20;
-  support::Rng config_rng(77);
-  for (int trial = 0; trial < 5; ++trial) {
-    const DomainConfig cfg = testing::random_domain_config(config_rng);
-    const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(trial);
-
-    // Serial shared-stream reference.
-    ErosionDomain reference(cfg);
-    support::Rng ref_rng(seed);
-    for (int s = 0; s < kSteps; ++s) (void)reference.step(ref_rng);
-
-    for (const std::string& name : lb::partitioner_names()) {
-      for (const std::int64_t shards : {1, 2, 3, 5, 8}) {
-        for (const std::size_t threads : {1u, 4u}) {
-          ShardedDomain sharded(cfg, shards, shared_partitioner(name));
-          support::Rng rng(seed);
-          support::ThreadPool pool(threads);
-          std::int64_t eroded_total = 0;
-          for (int s = 0; s < kSteps; ++s)
-            eroded_total += sharded.step(rng, pool);
-          EXPECT_EQ(eroded_total, reference.eroded_cells());
-          expect_bit_identical(
-              reference, sharded.domain(), ref_rng, rng,
-              "trial " + std::to_string(trial) + ", partitioner " + name +
-                  ", shards " + std::to_string(shards) + ", threads " +
-                  std::to_string(threads));
-        }
-      }
-    }
-  }
-}
-
-/// The counter-RNG sweep: one serial unsharded counter trajectory is THE
-/// trajectory — every (shard count, partitioner, thread count) combination
-/// reproduces it bit for bit, including across mid-run rebalances. Stronger
-/// than the fork sweep above: no stream-split discipline is involved, the
-/// invariance holds because every draw is position-addressed.
+/// One serial unsharded trajectory is THE trajectory — every (shard count,
+/// partitioner, thread count) combination reproduces it bit for bit,
+/// including across mid-run rebalances, because every draw is
+/// position-addressed.
 TEST(ShardedErosion, CounterPathBitIdenticalForEveryShardPartitionerPool) {
   constexpr int kSteps = 20;
   support::Rng config_rng(404);
@@ -179,20 +130,6 @@ TEST(ShardedErosion, CounterPathBitIdenticalForEveryShardPartitionerPool) {
   }
 }
 
-TEST(ShardedErosion, SerialOverloadMatchesPoolOverload) {
-  support::Rng config_rng(31);
-  const DomainConfig cfg = testing::random_domain_config(config_rng);
-  ShardedDomain a(cfg, 4, shared_partitioner("rcb"));
-  ShardedDomain b(cfg, 4, shared_partitioner("rcb"));
-  support::Rng rng_a(9), rng_b(9);
-  support::ThreadPool pool(5);
-  for (int s = 0; s < 15; ++s) {
-    EXPECT_EQ(a.step(rng_a), b.step(rng_b, pool));
-  }
-  expect_bit_identical(a.domain(), b.domain(), rng_a, rng_b,
-                       "serial vs pool overload");
-}
-
 TEST(ShardedErosion, RebalanceKeepsTrajectoryAndCover) {
   support::Rng config_rng(5150);
   for (int trial = 0; trial < 4; ++trial) {
@@ -200,14 +137,12 @@ TEST(ShardedErosion, RebalanceKeepsTrajectoryAndCover) {
     const std::uint64_t seed = 42 + static_cast<std::uint64_t>(trial);
 
     ErosionDomain reference(cfg);
-    support::Rng ref_rng(seed);
-    for (int s = 0; s < 24; ++s) (void)reference.step(ref_rng);
+    for (int s = 0; s < 24; ++s) (void)reference.step_counter(seed, s);
 
     ShardedDomain sharded(cfg, 3, shared_partitioner("greedy"));
-    support::Rng rng(seed);
     support::ThreadPool pool(3);
     for (int s = 0; s < 24; ++s) {
-      (void)sharded.step(rng, pool);
+      (void)sharded.step_counter(seed, s, &pool);
       if (s % 6 == 5) {
         // Re-sharding mid-run must not disturb the trajectory, and the new
         // assignment must still be a complete disjoint cover.
@@ -218,8 +153,8 @@ TEST(ShardedErosion, RebalanceKeepsTrajectoryAndCover) {
         expect_complete_disjoint_cover(sharded);
       }
     }
-    expect_bit_identical(reference, sharded.domain(), ref_rng, rng,
-                         "rebalance trial " + std::to_string(trial));
+    expect_domains_bit_identical(reference, sharded.domain(),
+                                 "rebalance trial " + std::to_string(trial));
   }
 }
 
@@ -227,8 +162,7 @@ TEST(ShardedErosion, ShardLoadsSumToTotalWorkload) {
   support::Rng config_rng(808);
   const DomainConfig cfg = testing::random_domain_config(config_rng);
   ShardedDomain sharded(cfg, 5, shared_partitioner("optimal"));
-  support::Rng rng(3);
-  for (int s = 0; s < 10; ++s) (void)sharded.step(rng);
+  for (int s = 0; s < 10; ++s) (void)sharded.step_counter(3, s);
   const auto loads = sharded.shard_loads();
   ASSERT_EQ(loads.size(), 5u);
   double sum = 0.0;
@@ -246,32 +180,6 @@ TEST(ShardedErosion, RejectsDegenerateShardCounts) {
                              shared_partitioner("greedy")),
                std::invalid_argument);
   EXPECT_THROW(ShardedDomain(cfg, 2, nullptr), std::invalid_argument);
-}
-
-/// The frontier-equals-draw-count invariant the stream split is built on:
-/// the SERIAL stepper's data-dependent draw consumption per step equals the
-/// pre-step frontier sizes exactly (every frontier cell touches fluid, so
-/// the `trials == 0` skip in decide_disc never fires), and the consumption
-/// is independent of the erosion probabilities drawn against. Without this,
-/// ShardedDomain could not position the per-disc snapshots before deciding.
-TEST(ShardedErosion, SerialStepConsumesExactlyFrontierSizeDraws) {
-  support::Rng config_rng(123);
-  for (int trial = 0; trial < 4; ++trial) {
-    const DomainConfig cfg = testing::random_domain_config(config_rng);
-    ErosionDomain domain(cfg);
-    support::Rng rng(7 + static_cast<std::uint64_t>(trial));
-    for (int s = 0; s < 12; ++s) {
-      std::int64_t draws = 0;
-      for (std::size_t d = 0; d < domain.disc_count(); ++d)
-        draws += domain.disc_frontier_size(d);
-      support::Rng probe = rng;  // copies advance independently
-      for (std::int64_t i = 0; i < draws; ++i) (void)probe.bernoulli(0.5);
-      (void)domain.step(rng);
-      // The comparison draw advances both streams identically, so the loop
-      // stays aligned across steps.
-      ASSERT_EQ(probe(), rng()) << "trial " << trial << ", step " << s;
-    }
-  }
 }
 
 }  // namespace

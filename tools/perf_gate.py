@@ -41,10 +41,10 @@ same run — machine-independent speedup contracts that survive runner churn
 where absolute numbers cannot:
 
     "ratios": {
-      "counter 1t speedup": {
-        "numerator": "BM_ErosionStepFork",      // the slow side
-        "denominator": "BM_ErosionStepCounter/1",
-        "min_ratio": 1.5,                       // gate: num/den >= this
+      "cache hit speedup": {
+        "numerator": "BM_ServeEvalColdDp",      // the slow side
+        "denominator": "BM_ServeCacheHitDp",
+        "min_ratio": 10.0,                      // gate: num/den >= this
         "min_cpus": 8                           // optional hardware guard
       }
     }

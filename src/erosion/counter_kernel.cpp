@@ -1,7 +1,7 @@
 #include "erosion/counter_kernel.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 
 #include "support/counter_rng.hpp"
 #include "support/require.hpp"
@@ -10,81 +10,55 @@ namespace ulba::erosion {
 
 namespace {
 
-/// Fluid faces a frontier cell presents to (lx, ly). "Each fluid cell
-/// computes a probabilistic erosion of neighboring rock cells": a rock cell
-/// takes one erosion trial per adjacent fluid face. Outside fluid counts one
-/// trial, a refined neighbour two — it consists of four finer cells, two of
-/// which border the rock cell — so refinement doubles that face's trials,
-/// the paper's "creating even more imbalance" acceleration.
-inline int fluid_faces(const DiscState& d, std::int64_t lx, std::int64_t ly) {
-  switch (d.at(lx, ly)) {
-    case Cell::kOutside:
-      return 1;
-    case Cell::kRefined:
-      return 2;
-    default:
-      return 0;
+/// Cells decided together: enough independent Philox draws to fill the
+/// pipeline, few enough that the block's thresholds and draws stay in
+/// registers / L1.
+constexpr std::size_t kBlock = 16;
+
+/// Decide the frontier cells `cells` of disc `d` at `iteration` and call
+/// `erode(pos)` for each eroding position, in order. Per block: look the
+/// thresholds up by the trial count in each cell's byte, take the draws
+/// addressed by (iteration, cell index), then compare.
+template <typename Erode>
+void decide_cells(const DiscState& d, const support::CounterRng& rng,
+                  std::uint64_t iteration, std::span<const std::int32_t> cells,
+                  Erode&& erode) {
+  std::array<std::uint64_t, kBlock> gate{};
+  std::array<std::uint64_t, kBlock> draw{};
+  for (std::size_t i = 0; i < cells.size(); i += kBlock) {
+    const std::size_t m = std::min(kBlock, cells.size() - i);
+    for (std::size_t b = 0; b < m; ++b)
+      gate[b] = d.thresh[static_cast<std::size_t>(
+          d.trials(static_cast<std::size_t>(cells[i + b])))];
+    for (std::size_t b = 0; b < m; ++b)
+      draw[b] =
+          rng.draw(iteration, static_cast<std::uint64_t>(cells[i + b])) >> 11;
+    for (std::size_t b = 0; b < m; ++b)
+      if (draw[b] < gate[b]) erode(i + b);
   }
 }
 
-/// trials -> ceil((1-(1-p)^trials) * 2^53). `draw >> 11 < thresh[trials]`
-/// decides exactly like `CounterRng::uniform01 < p_eff`: draw >> 11 is an
-/// integer below 2^53, p_eff * 2^53 is an exact power-of-two rescale, and
-/// x < ceil(y) == x < y for integer x. p_eff == 1 maps to 2^53 itself,
-/// above every possible draw — certain erosion stays certain.
-std::array<std::uint64_t, 9> threshold_table(double erosion_prob) {
-  std::array<std::uint64_t, 9> thresh{};
-  const double keep = 1.0 - erosion_prob;
-  double pow_keep = 1.0;
-  for (std::size_t t = 0; t < thresh.size(); ++t) {
-    thresh[t] = static_cast<std::uint64_t>(
-        std::ceil((1.0 - pow_keep) * 0x1p53));
-    pow_keep *= keep;
-  }
-  return thresh;
-}
-
-/// The pre-step trial count of one frontier cell.
-inline int cell_trials(const DiscState& d, std::int32_t idx) {
-  const std::int64_t lx = idx % d.side;
-  const std::int64_t ly = idx / d.side;
-  return fluid_faces(d, lx - 1, ly) + fluid_faces(d, lx + 1, ly) +
-         fluid_faces(d, lx, ly - 1) + fluid_faces(d, lx, ly + 1);
-}
-
-/// Decide flags for the flat positions [begin, end): locate the owning disc
-/// via the offsets (amortized pointer walk — ranges are contiguous), look
-/// the threshold up by trial count, and take the draw addressed by
-/// (iteration, cell index). Writes only flags[begin..end), so concurrent
-/// chunks never touch the same byte.
+/// Decide flags for the flat positions [begin, end): walk the discs whose
+/// slices overlap the range (the offsets locate the first) and decide each
+/// overlap. Writes only flags[begin..end), so concurrent chunks never touch
+/// the same byte.
 void decide_range(std::span<const DiscState> discs,
                   std::span<const std::size_t> disc_ids, std::uint64_t seed,
-                  std::uint64_t iteration, const CounterWorkspace& ws,
-                  std::span<std::uint8_t> flags, std::size_t begin,
-                  std::size_t end) {
-  if (begin >= end) return;
-  // Last disc whose slice starts at or before `begin`; empty slices are
-  // skipped by the advance below.
-  std::size_t k = static_cast<std::size_t>(
-                      std::distance(ws.offsets.begin(),
-                                    std::upper_bound(ws.offsets.begin(),
-                                                     ws.offsets.end(), begin))) -
-                  1;
-  const DiscState* d = &discs[k];
-  support::CounterRng rng(seed, static_cast<std::uint64_t>(disc_ids[k]));
-  for (std::size_t j = begin; j < end; ++j) {
-    while (j >= ws.offsets[k + 1]) {
-      ++k;
-      d = &discs[k];
-      rng = support::CounterRng(seed,
-                                static_cast<std::uint64_t>(disc_ids[k]));
-    }
-    const std::int32_t idx = ws.cells[j];
-    const int trials = cell_trials(*d, idx);
-    if (trials == 0) continue;  // cannot happen for frontier cells
-    const std::uint64_t draw =
-        rng.draw(iteration, static_cast<std::uint64_t>(idx)) >> 11;
-    if (draw < ws.thresh[k][static_cast<std::size_t>(trials)]) flags[j] = 1;
+                  std::uint64_t iteration, CounterWorkspace& ws,
+                  std::size_t begin, std::size_t end) {
+  // Last disc whose slice starts at or before `begin`; empty slices come
+  // out as empty overlaps below.
+  auto k = static_cast<std::size_t>(
+      std::upper_bound(ws.offsets.begin(), ws.offsets.end(), begin) -
+      ws.offsets.begin() - 1);
+  for (std::size_t j = begin; j < end; ++k) {
+    const std::size_t stop = std::min(end, ws.offsets[k + 1]);
+    const support::CounterRng rng(seed,
+                                  static_cast<std::uint64_t>(disc_ids[k]));
+    decide_cells(discs[k], rng, iteration,
+                 std::span<const std::int32_t>(ws.cells).subspan(j, stop - j),
+                 [&](std::size_t pos) { ws.flags[j + pos] = 1; });
+    j = stop;
   }
 }
 
@@ -100,10 +74,6 @@ std::int64_t counter_decide_apply(std::span<DiscState> discs,
                "counter kernel needs one global id per disc");
   ULBA_REQUIRE(iteration >= 0, "iteration must be non-negative");
   const auto iter = static_cast<std::uint64_t>(iteration);
-
-  ws.thresh.resize(n);
-  for (std::size_t k = 0; k < n; ++k)
-    ws.thresh[k] = threshold_table(discs[k].erosion_prob);
   ws.erode.resize(n);
 
   std::size_t total = 0;
@@ -116,20 +86,14 @@ std::int64_t counter_decide_apply(std::span<DiscState> discs,
   if (threads <= 1 || total < 2048) {
     std::int64_t eroded = 0;
     for (std::size_t k = 0; k < n; ++k) {
-      const DiscState& d = discs[k];
+      DiscState& d = discs[k];
       std::vector<std::int32_t>& out = ws.erode[k];
       out.clear();
       const support::CounterRng rng(seed,
                                     static_cast<std::uint64_t>(disc_ids[k]));
-      const auto& thresh = ws.thresh[k];
-      for (const std::int32_t idx : d.frontier) {
-        const int trials = cell_trials(d, idx);
-        if (trials == 0) continue;
-        const std::uint64_t draw =
-            rng.draw(iter, static_cast<std::uint64_t>(idx)) >> 11;
-        if (draw < thresh[static_cast<std::size_t>(trials)]) out.push_back(idx);
-      }
-      apply_disc(discs[k], out);
+      decide_cells(d, rng, iter, d.frontier,
+                   [&](std::size_t pos) { out.push_back(d.frontier[pos]); });
+      apply_disc(d, out);
       eroded += static_cast<std::int64_t>(out.size());
     }
     return eroded;
@@ -152,8 +116,8 @@ std::int64_t counter_decide_apply(std::span<DiscState> discs,
   // identical bits.
   const std::size_t chunks = std::min(total, threads * 4);
   pool->parallel_for(chunks, [&](std::size_t c) {
-    decide_range(discs, disc_ids, seed, iter, ws, ws.flags,
-                 c * total / chunks, (c + 1) * total / chunks);
+    decide_range(discs, disc_ids, seed, iter, ws, c * total / chunks,
+                 (c + 1) * total / chunks);
   });
 
   // Phase C — compact each disc's flagged cells (frontier order) and

@@ -2,15 +2,23 @@
 // steppers (serial, pooled, sharded, distributed).
 //
 // Every Bernoulli draw is addressed by (disc, iteration, cell index) through
-// support::CounterRng, so NOTHING in the step depends on evaluation order:
+// support::CounterRng, so NOTHING in the step depends on evaluation order.
+// A frontier cell's decision reads two things: its pre-step trial count,
+// kept in bits 4–7 of its own cell byte (erosion/disc.hpp: apply_disc adds 2
+// to each rock neighbour of an eroded cell, the refined-face rule), and the
+// disc's trials -> threshold table ceil((1-(1-p)^trials) * 2^53), built
+// once with the disc. The decision is then `draw >> 11 < threshold`: no
+// neighbour loads, no index division, no pow(), and bit-equal to
+// `uniform01(draw) < p_eff` (scaling by 2^53 is exact).
 //
+// Serial path: each disc's frontier is decided in blocks of 16 cells —
+// look up the thresholds, then take the draws, then compare — so the
+// independent Philox draws of a block overlap in the pipeline, and the
+// eroded cells land straight in ws.erode.
+//
+// Pooled path:
 //   A. flatten — the per-disc pre-step frontiers are copied into one
-//      contiguous SoA array (cell indices + per-disc offsets), and the
-//      per-disc trials -> threshold table ceil((1-(1-p)^trials) * 2^53) is
-//      precomputed once (trials <= 8): the per-cell decision collapses to
-//      `draw >> 11 < threshold`, with no pow() and no int -> double
-//      conversion per cell, while staying bit-equal to
-//      `uniform01(draw) < p_eff` (scaling by 2^53 is exact);
+//      contiguous SoA array (cell indices + per-disc offsets);
 //   B. decide — one batched pass over the flat array, chunked across the
 //      ThreadPool (contiguous ranges, NOT per-cell tasks: parallel_for
 //      claims indices under a mutex and is sized for coarse items). Each
@@ -20,9 +28,8 @@
 //      order) + apply_disc, one task per disc across the pool. Disc state
 //      is disc-local, so discs are independent.
 //
-// Without a pool the flatten/compact round-trip is skipped entirely: the
-// serial path decides straight off each disc's frontier into ws.erode —
-// same position-addressed draws, same bits, half the memory traffic.
+// Both paths take the same position-addressed draws against the same
+// thresholds, so they produce the same bits.
 //
 // The caller commits the per-column workload accounting afterwards from
 // CounterWorkspace::erode. The commit is itself order-independent (every
@@ -33,7 +40,6 @@
 // test_sharded_erosion / test_distributed_erosion.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -50,8 +56,6 @@ struct CounterWorkspace {
   std::vector<std::size_t> offsets;   ///< per-disc [start, end) into cells
   std::vector<std::int32_t> cells;    ///< flattened pre-step frontiers
   std::vector<std::uint8_t> flags;    ///< 1 = cell erodes; parallel to cells
-  /// Per disc: trials -> ceil(p_eff * 2^53), the integer Bernoulli gate.
-  std::vector<std::array<std::uint64_t, 9>> thresh;
   /// Per-disc eroded cells (frontier order), the caller's commit input.
   /// Entry k belongs to discs[k].
   std::vector<std::vector<std::int32_t>> erode;

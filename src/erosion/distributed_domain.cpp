@@ -858,7 +858,7 @@ DistributedReshardResult DistributedDomain::rebalance_grid(
       static_cast<std::size_t>(tile_rows_) * ncols, 0);
   for (const DiscState& d : local_discs_) {
     for (std::size_t idx = 0; idx < d.cells.size(); ++idx) {
-      if (d.cells[idx] != Cell::kRefined) continue;
+      if (d.state(idx) != Cell::kRefined) continue;
       const std::int64_t x =
           d.x0 + static_cast<std::int64_t>(idx) % d.side;
       const std::int64_t y =

@@ -235,6 +235,11 @@ class DistributedDomain {
   [[nodiscard]] std::span<const std::size_t> local_discs() const noexcept {
     return local_disc_ids_;
   }
+  /// The states of the discs this rank owns, parallel to local_discs().
+  [[nodiscard]] std::span<const DiscState> local_disc_states()
+      const noexcept {
+    return local_discs_;
+  }
   /// The rank owning disc `disc` (replicated knowledge).
   [[nodiscard]] int owner_of_disc(std::size_t disc) const;
   /// The rank owning column `x` (stripe mode only — a grid tile owns column

@@ -235,5 +235,72 @@ TEST(CounterKernel, RepeatingAnIterationRepeatsItsDraws) {
   EXPECT_GT(diverged, 0) << "iteration is not reaching the draw addresses";
 }
 
+/// Steps `discs` for `steps` iterations and asserts, after every step, that
+/// each rock cell's stored trial count equals its recount. Returns the
+/// stepped discs.
+std::vector<DiscState> expect_trials_kept_up_to_date(
+    std::vector<DiscState> discs, std::uint64_t seed, int steps,
+    support::ThreadPool* pool, const std::string& what) {
+  std::vector<std::size_t> ids(discs.size());
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  CounterWorkspace ws;
+  std::int64_t eroded = 0;
+  for (int s = 0; s < steps; ++s) {
+    eroded += counter_decide_apply(discs, ids, seed, s, pool, ws);
+    for (std::size_t k = 0; k < discs.size(); ++k)
+      EXPECT_EQ(testing::trial_count_mismatches(discs[k]), 0)
+          << what << ", step " << s << ", disc " << k;
+  }
+  EXPECT_GT(eroded, 0) << what << ": nothing eroded";
+  return discs;
+}
+
+TEST(CounterKernel, StoredTrialsMatchRecountAfterEveryStep) {
+  // Serial path on small random domains, from the rasterized start on.
+  support::Rng config_rng(4242);
+  for (int trial = 0; trial < 6; ++trial) {
+    const DomainConfig cfg = testing::random_domain_config(config_rng);
+    std::vector<DiscState> discs;
+    for (const RockDisc& d : cfg.discs) {
+      discs.push_back(build_disc_state(d));
+      ASSERT_EQ(testing::trial_count_mismatches(discs.back()), 0);
+    }
+    (void)expect_trials_kept_up_to_date(
+        discs, 70 + static_cast<std::uint64_t>(trial), 40, nullptr,
+        "serial, trial " + std::to_string(trial));
+  }
+
+  // Pooled path: frontiers large enough that the kernel takes the chunked
+  // decide instead of its serial fallback (the random domains above never
+  // exceed a few hundred frontier cells). It must also match the serial
+  // path bit for bit.
+  DomainConfig big;
+  big.rows = 300;
+  std::int64_t cursor = 2;
+  for (int i = 0; i < 4; ++i) {
+    const std::int64_t r = config_rng.uniform_int(100, 140);
+    big.discs.push_back({cursor + r, 150, r, config_rng.uniform(0.05, 0.9)});
+    cursor += 2 * r + 3;
+  }
+  big.columns = cursor + 2;
+  big.validate();
+  std::vector<DiscState> discs;
+  std::size_t frontier = 0;
+  for (const RockDisc& d : big.discs) {
+    discs.push_back(build_disc_state(d));
+    frontier += discs.back().frontier.size();
+  }
+  ASSERT_GE(frontier, 2048u) << "too small to leave the serial fallback";
+  support::ThreadPool pool(4);
+  const std::vector<DiscState> pooled =
+      expect_trials_kept_up_to_date(discs, 9, 12, &pool, "pool of 4");
+  const std::vector<DiscState> serial =
+      expect_trials_kept_up_to_date(discs, 9, 12, nullptr, "serial, large");
+  for (std::size_t k = 0; k < discs.size(); ++k) {
+    EXPECT_EQ(pooled[k].cells, serial[k].cells) << "disc " << k;
+    EXPECT_EQ(pooled[k].frontier, serial[k].frontier) << "disc " << k;
+  }
+}
+
 }  // namespace
 }  // namespace ulba::erosion

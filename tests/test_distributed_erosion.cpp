@@ -13,7 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -222,6 +226,36 @@ TEST(DistributedErosion, MidRunMigrationKeepsTrajectoryAndCover) {
       });
     }
   }
+}
+
+/// Two ranks, rebalancing every few steps so discs change owner: after every
+/// step each owned disc's stored trial counts equal their recount, whether
+/// the disc was built locally or rebuilt from a hand-off payload.
+TEST(DistributedErosion, StoredTrialsSurviveDiscHandOff) {
+  support::Rng config_rng(8080);
+  std::int64_t moved = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    const DomainConfig cfg = testing::random_domain_config(config_rng);
+    const std::uint64_t seed = 17 + static_cast<std::uint64_t>(trial);
+    runtime::spmd_run(2, [&](runtime::Comm& comm) {
+      DistributedDomain domain(cfg, comm, shared_partitioner("greedy"));
+      for (int s = 0; s < 30; ++s) {
+        (void)domain.step_counter(seed, s);
+        if (s % 5 == 4) {
+          const DistributedReshardResult res = domain.rebalance();
+          if (comm.rank() == 0) moved += res.discs_moved;
+        }
+        // EXPECT, not ASSERT: a rank leaving early would strand its peer in
+        // the next step's exchange.
+        const auto states = domain.local_disc_states();
+        for (std::size_t k = 0; k < states.size(); ++k)
+          EXPECT_EQ(testing::trial_count_mismatches(states[k]), 0)
+              << "trial " << trial << ", rank " << comm.rank() << ", step "
+              << s << ", disc " << domain.local_discs()[k];
+      }
+    });
+  }
+  EXPECT_GT(moved, 0) << "no disc changed owner: the hand-off went untested";
 }
 
 /// Both wire protocols must produce the SAME domain — bit-equal weights and
@@ -443,12 +477,84 @@ TEST(DistributedErosion, DiscHandOffRoundTripsBitExactly) {
   EXPECT_EQ(d.side, back.side);
   EXPECT_EQ(d.erosion_prob, back.erosion_prob);
   EXPECT_EQ(d.rock_remaining, back.rock_remaining);
+  EXPECT_EQ(d.thresh, back.thresh);
+  // The receiver recounts the trial bits the wire leaves out.
   EXPECT_EQ(d.cells, back.cells);
   EXPECT_EQ(d.frontier, back.frontier);
   EXPECT_THROW((void)deserialize_disc(payload, 5), std::invalid_argument);
   EXPECT_THROW((void)deserialize_disc(
                    std::span<const std::byte>(payload).first(10), 4),
                std::invalid_argument);
+}
+
+TEST(DistributedErosion, DiscHandOffRejectsMalformedPayloads) {
+  std::vector<DiscState> discs{build_disc_state({20, 20, 12, 0.2})};
+  const std::vector<std::size_t> ids{0};
+  CounterWorkspace ws;
+  for (int s = 0; s < 5; ++s)
+    (void)counter_decide_apply(discs, ids, 3, s, nullptr, ws);
+  const DiscState& d = discs.front();
+  ASSERT_GE(d.frontier.size(), 2u);
+  const std::vector<std::byte> payload = serialize_disc(4, d);
+  // Header int64 slots: version, id, x0, y0, side, rock_remaining,
+  // frontier_count; then erosion_prob, the cell bytes, the frontier.
+  constexpr std::size_t kSide = 4 * 8;
+  constexpr std::size_t kRock = 5 * 8;
+  constexpr std::size_t kCount = 6 * 8;
+  constexpr std::size_t kProb = 7 * 8;
+  constexpr std::size_t kCells = 8 * 8;
+  const std::size_t frontier_at = kCells + d.cells.size();
+  const auto corrupted = [&](std::size_t at, const auto& value) {
+    std::vector<std::byte> bad = payload;
+    std::memcpy(bad.data() + at, &value, sizeof(value));
+    return bad;
+  };
+  const auto rejects = [](const std::vector<std::byte>& bad) {
+    EXPECT_THROW((void)deserialize_disc(bad, 4), std::invalid_argument);
+  };
+  ASSERT_NO_THROW((void)deserialize_disc(payload, 4));
+
+  // A cell byte that is not a state: with trial bits it would index past
+  // the threshold table. On a fluid cell no other check sees it.
+  rejects(corrupted(kCells + static_cast<std::size_t>(d.frontier[0]),
+                    std::uint8_t{0xF2}));
+  rejects(corrupted(kCells, std::uint8_t{0xF0}));
+  // Frontier entries outside the grid, naming a non-frontier cell (the box
+  // corner is never rock), or listing one cell twice.
+  rejects(corrupted(frontier_at, static_cast<std::int32_t>(d.cells.size())));
+  rejects(corrupted(frontier_at, std::int32_t{-1}));
+  rejects(corrupted(frontier_at, std::int32_t{0}));
+  rejects(corrupted(frontier_at + sizeof(std::int32_t), d.frontier[0]));
+  // A rock count that disagrees with the cells.
+  rejects(corrupted(kRock, d.rock_remaining + 1));
+  // A frontier cell left off the list.
+  std::vector<std::byte> unlisted = corrupted(
+      kCount, static_cast<std::int64_t>(d.frontier.size()) - 1);
+  unlisted.resize(unlisted.size() - sizeof(std::int32_t));
+  rejects(unlisted);
+  // A frontier count whose byte size wraps around to the true one.
+  rejects(corrupted(kCount, (std::int64_t{1} << 62) +
+                                static_cast<std::int64_t>(d.frontier.size())));
+  // A side whose square overflows — to the true cell count, modulo 2^64,
+  // so only the overflow check stands between it and the cell loops.
+  rejects(corrupted(kSide, std::numeric_limits<std::int64_t>::max() -
+                               d.side + 1));
+  // A frontier flag that disagrees with the faces: a frontier cell swaps
+  // state with an interior one, counts and listing kept consistent.
+  const auto interior = static_cast<std::size_t>(
+      std::find(d.cells.begin(), d.cells.end(),
+                cell_byte(Cell::kRockInterior, 0)) -
+      d.cells.begin());
+  ASSERT_LT(interior, d.cells.size());
+  std::vector<std::byte> swapped = payload;
+  swapped[kCells + static_cast<std::size_t>(d.frontier[0])] = std::byte{1};
+  swapped[kCells + interior] = std::byte{2};
+  const auto relisted = static_cast<std::int32_t>(interior);
+  std::memcpy(swapped.data() + frontier_at, &relisted, sizeof(relisted));
+  rejects(swapped);
+  // An erosion probability the threshold table cannot take.
+  rejects(corrupted(kProb, 1.5));
+  rejects(corrupted(kProb, std::nan("")));
 }
 
 /// App-level wiring: AppConfig::ranks > 1 runs the SAME virtual-time LB

@@ -9,6 +9,8 @@
 #include <numeric>
 #include <vector>
 
+#include "test_helpers.hpp"
+
 namespace ulba::erosion {
 namespace {
 
@@ -209,6 +211,62 @@ TEST(Domain, ErodedColumnGainsWeightLocally) {
   // now refined: weight increased there; far-away columns are untouched.
   EXPECT_GT(after[40], before[40]);
   EXPECT_DOUBLE_EQ(after[10], before[10]);
+}
+
+/// Reference rasterizer, cell by cell: a cell is rock when its squared
+/// distance (in doubles) is within r^2, and rock with an outside
+/// 4-neighbour is frontier, listed in raster order.
+struct ReferenceRaster {
+  std::vector<Cell> cells;
+  std::vector<std::int32_t> frontier;
+  std::int64_t rock = 0;
+};
+
+ReferenceRaster reference_raster(std::int64_t radius) {
+  const std::int64_t side = 2 * radius + 1;
+  ReferenceRaster ref;
+  ref.cells.assign(static_cast<std::size_t>(side * side), Cell::kOutside);
+  const auto r2 = static_cast<double>(radius) * static_cast<double>(radius);
+  for (std::int64_t ly = 0; ly < side; ++ly)
+    for (std::int64_t lx = 0; lx < side; ++lx) {
+      const auto dx = static_cast<double>(lx - radius);
+      const auto dy = static_cast<double>(ly - radius);
+      if (dx * dx + dy * dy <= r2) {
+        ref.cells[static_cast<std::size_t>(ly * side + lx)] =
+            Cell::kRockInterior;
+        ++ref.rock;
+      }
+    }
+  const auto outside = [&](std::int64_t lx, std::int64_t ly) {
+    return lx < 0 || ly < 0 || lx >= side || ly >= side ||
+           ref.cells[static_cast<std::size_t>(ly * side + lx)] ==
+               Cell::kOutside;
+  };
+  for (std::int64_t ly = 0; ly < side; ++ly)
+    for (std::int64_t lx = 0; lx < side; ++lx) {
+      const auto idx = static_cast<std::size_t>(ly * side + lx);
+      if (ref.cells[idx] != Cell::kRockInterior) continue;
+      if (outside(lx - 1, ly) || outside(lx + 1, ly) || outside(lx, ly - 1) ||
+          outside(lx, ly + 1)) {
+        ref.cells[idx] = Cell::kRockFrontier;
+        ref.frontier.push_back(static_cast<std::int32_t>(idx));
+      }
+    }
+  return ref;
+}
+
+TEST(DiscRaster, RowSpansMatchTheDistanceTest) {
+  for (std::int64_t radius = 1; radius <= 300; ++radius) {
+    const DiscState d = build_disc_state({radius + 1, radius + 1, radius, 0.3});
+    const ReferenceRaster ref = reference_raster(radius);
+    ASSERT_EQ(d.cells.size(), ref.cells.size()) << "radius " << radius;
+    for (std::size_t idx = 0; idx < ref.cells.size(); ++idx)
+      ASSERT_EQ(d.state(idx), ref.cells[idx])
+          << "radius " << radius << ", cell " << idx;
+    ASSERT_EQ(d.frontier, ref.frontier) << "radius " << radius;
+    ASSERT_EQ(d.rock_remaining, ref.rock) << "radius " << radius;
+    ASSERT_EQ(testing::trial_count_mismatches(d), 0) << "radius " << radius;
+  }
 }
 
 }  // namespace

@@ -99,4 +99,23 @@ inline erosion::DomainConfig random_domain_config(support::Rng& rng) {
   return c;
 }
 
+/// Cells of `d` whose byte disagrees with a recount from the neighbours'
+/// states: a rock cell must carry fluid_faces as its trial count and be on
+/// the frontier exactly when that count is positive; a fluid byte must carry
+/// no count. Zero for every reachable disc state.
+inline std::int64_t trial_count_mismatches(const erosion::DiscState& d) {
+  using erosion::Cell;
+  std::int64_t bad = 0;
+  for (std::int64_t ly = 0; ly < d.side; ++ly)
+    for (std::int64_t lx = 0; lx < d.side; ++lx) {
+      const auto idx = static_cast<std::size_t>(ly * d.side + lx);
+      const Cell s = d.state(idx);
+      const bool rock = s == Cell::kRockInterior || s == Cell::kRockFrontier;
+      const int want = rock ? erosion::fluid_faces(d, lx, ly) : 0;
+      const bool frontier_ok = !rock || (s == Cell::kRockFrontier) == (want > 0);
+      bad += static_cast<std::int64_t>(d.trials(idx) != want || !frontier_ok);
+    }
+  return bad;
+}
+
 }  // namespace ulba::testing

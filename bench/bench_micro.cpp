@@ -14,6 +14,7 @@
 #include "core/intervals.hpp"
 #include "core/policy.hpp"
 #include "core/schedule.hpp"
+#include "erosion/counter_kernel.hpp"
 #include "erosion/distributed_domain.hpp"
 #include "erosion/domain.hpp"
 #include "lb/partitioners.hpp"
@@ -130,6 +131,41 @@ void BM_CounterRngDraw(benchmark::State& state) {
     benchmark::DoNotOptimize(rng.uniform01(11, ++cell));
 }
 BENCHMARK(BM_CounterRngDraw);
+
+// Whether BM_CounterDecide/dispatch can take the AVX-512 decide: the
+// results' context carries it, and tools/perf_gate.py skips the SIMD
+// speedup ratio where it reads 0.
+const bool kAvx512Context = [] {
+  benchmark::AddCustomContext(
+      "avx512f", erosion::avx512_decide_supported() ? "1" : "0");
+  return true;
+}();
+
+/// The decide step alone over one disc's frontier (radius 250, about
+/// 1400 cells), a fresh iteration per pass. `scalar` is the reference
+/// loop, `dispatch` what the kernel runs on this CPU; their ratio is the
+/// SIMD speedup the micro gate checks.
+void BM_CounterDecide(benchmark::State& state, bool scalar) {
+  const erosion::DiscState disc =
+      erosion::build_disc_state(erosion::RockDisc{250, 250, 250, 0.1});
+  const support::CounterRng rng(4, 7);
+  std::vector<std::int32_t> out;
+  std::uint64_t iter = 0;
+  for (auto _ : state) {
+    out.clear();
+    if (scalar)
+      erosion::decide_cells_scalar(disc.thresh, disc.cells, rng,
+                                   ++iter, disc.frontier, out);
+    else
+      erosion::decide_cells(disc.thresh, disc.cells, rng, ++iter,
+                            disc.frontier, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(disc.frontier.size()));
+}
+BENCHMARK_CAPTURE(BM_CounterDecide, scalar, true);
+BENCHMARK_CAPTURE(BM_CounterDecide, dispatch, false);
 
 // Erosion decays the frontier, so an ever-evolving domain would measure a
 // shrinking problem: the stepper benchmark rebuilds the domain every 48

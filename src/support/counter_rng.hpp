@@ -16,6 +16,14 @@
 // Everything here is branch-free integer arithmetic (two 32x32->64
 // multiplies per round, ten rounds), inline in the header: a draw sits on
 // the per-frontier-cell hot path of erosion::counter_decide_apply.
+//
+// Because a draw names its own position, nothing ties one draw to the next,
+// and erosion/counter_kernel.cpp takes 16 of them at once: on CPUs with
+// AVX-512F each 32-bit lane of a 512-bit register carries one cell's
+// counter word, the rounds run on all lanes together (the kM0/kM1
+// multiplies as even/odd-lane 32x32->64 products), and every lane's result
+// equals draw() at that lane's position — the scalar draw here stays the
+// reference the SIMD decide is tested against.
 #pragma once
 
 #include <array>
@@ -29,6 +37,15 @@ namespace ulba::support {
 /// (seed, stream) are interchangeable.
 class CounterRng {
  public:
+  /// The Philox4x32-10 constants: round multipliers and the golden-ratio
+  /// key schedule (round r uses key + r * (kW0, kW1)). Public so the lane-
+  /// parallel decide of erosion/counter_kernel.cpp runs the same rounds.
+  static constexpr int kRounds = 10;
+  static constexpr std::uint32_t kM0 = 0xD2511F53u;
+  static constexpr std::uint32_t kM1 = 0xCD9E8D57u;
+  static constexpr std::uint32_t kW0 = 0x9E3779B9u;
+  static constexpr std::uint32_t kW1 = 0xBB67AE85u;
+
   /// Derive the key from (seed, stream) with the SplitMix64 finalizer — the
   /// same recipe Rng::fork uses to split mt19937 seeds, so per-disc streams
   /// are decorrelated the same way in both RNG kinds.
@@ -47,11 +64,7 @@ class CounterRng {
   [[nodiscard]] static constexpr std::array<std::uint32_t, 4> philox4x32(
       std::array<std::uint32_t, 4> ctr,
       std::array<std::uint32_t, 2> key) noexcept {
-    constexpr std::uint32_t kM0 = 0xD2511F53u;
-    constexpr std::uint32_t kM1 = 0xCD9E8D57u;
-    constexpr std::uint32_t kW0 = 0x9E3779B9u;  // golden-ratio key schedule
-    constexpr std::uint32_t kW1 = 0xBB67AE85u;
-    for (int round = 0; round < 10; ++round) {
+    for (int round = 0; round < kRounds; ++round) {
       if (round > 0) {
         key[0] += kW0;
         key[1] += kW1;

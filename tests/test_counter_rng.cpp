@@ -10,14 +10,17 @@
 //      other draws are taken at all.
 //   3. erosion::counter_decide_apply produces bit-identical domains for
 //      every pool size and for every partition of the disc set — the
-//      property the app-level threads/shards/ranks invariance rests on.
+//      property the app-level threads/shards/ranks invariance rests on —
+//      and its AVX-512 decide erodes exactly the cells the scalar one does.
 #include "support/counter_rng.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -233,6 +236,114 @@ TEST(CounterKernel, RepeatingAnIterationRepeatsItsDraws) {
     if (ec != ed) ++diverged;
   }
   EXPECT_GT(diverged, 0) << "iteration is not reaching the draw addresses";
+}
+
+/// The gate table of a disc with erosion probability p, as built with it.
+std::array<std::uint64_t, kMaxTrials + 1> gate_table(double p) {
+  return build_disc_state(RockDisc{4, 4, 3, p}).thresh;
+}
+
+TEST(CounterKernel, SimdDecideMatchesScalar) {
+  if (!avx512_decide_supported())
+    GTEST_SKIP() << "this CPU lacks avx512f: only the scalar decide runs";
+
+  // Cell bytes of a synthetic disc: cell c is a frontier cell with
+  // c % 9 trials, so every trial count 0..8 shows up in any 9 cells.
+  std::vector<std::uint8_t> bytes(4096);
+  for (std::size_t c = 0; c < bytes.size(); ++c)
+    bytes[c] = cell_byte(Cell::kRockFrontier, static_cast<int>(c % 9));
+  std::vector<std::int32_t> pool(bytes.size());
+  std::iota(pool.begin(), pool.end(), 0);
+  support::Rng shuffler(17);
+  std::shuffle(pool.begin(), pool.end(), shuffler);
+
+  // Iteration 2^32 + 5 and above put a non-zero counter word 3 in play.
+  const std::array<std::uint64_t, 4> iterations = {0, 7, (1ull << 32) + 5,
+                                                   (1ull << 45) + 3};
+  std::vector<std::int32_t> scalar, simd, dispatched;
+  auto expect_same = [&](std::span<const std::uint64_t, kMaxTrials + 1> thresh,
+                         std::span<const std::uint8_t> cell_bytes,
+                         const support::CounterRng& rng, std::uint64_t iter,
+                         std::span<const std::int32_t> cells,
+                         const std::string& what) {
+    scalar.clear();
+    simd.clear();
+    dispatched.clear();
+    decide_cells_scalar(thresh, cell_bytes, rng, iter, cells, scalar);
+    decide_cells_avx512(thresh, cell_bytes, rng, iter, cells, simd);
+    decide_cells(thresh, cell_bytes, rng, iter, cells, dispatched);
+    EXPECT_EQ(scalar, simd) << what;
+    EXPECT_EQ(scalar, dispatched) << what;
+  };
+
+  // Every p, iteration, key and frontier length 1..40 (every tail mask),
+  // each at several offsets into the shuffled cells.
+  std::int64_t eroded = 0, decided = 0;
+  for (const double p : {0.0, 1e-6, 0.3, 1.0}) {
+    const auto thresh = gate_table(p);
+    for (const std::uint64_t iter : iterations) {
+      for (const std::uint64_t disc : {0ull, 5ull}) {
+        const support::CounterRng rng(31, disc);
+        for (std::size_t len = 1; len <= 40; ++len) {
+          for (std::size_t start = 0; start + len <= 400; start += 97) {
+            const auto cells =
+                std::span<const std::int32_t>(pool).subspan(start, len);
+            expect_same(thresh, bytes, rng, iter, cells,
+                        "p " + std::to_string(p) + ", iteration " +
+                            std::to_string(iter) + ", length " +
+                            std::to_string(len));
+            eroded += static_cast<std::int64_t>(scalar.size());
+            decided += static_cast<std::int64_t>(len);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(eroded, 0);
+  EXPECT_LT(eroded, decided);
+
+  // Gates on a draw's own value: the hi 21 bits tie and the lo 32 bits
+  // decide, so a gate of draw + 1 erodes and a gate of draw does not.
+  const support::CounterRng rng(8, 3);
+  std::vector<std::int32_t> cells;  // one cell of each trial count
+  for (const std::int32_t c : pool)
+    if (c % 9 == static_cast<std::int32_t>(cells.size())) cells.push_back(c);
+  for (const std::uint64_t iter : iterations) {
+    std::array<std::uint64_t, kMaxTrials + 1> thresh{};
+    std::vector<std::int32_t> expected;
+    for (const std::int32_t c : cells) {
+      const auto t = static_cast<std::size_t>(c % 9);
+      const std::uint64_t v =
+          rng.draw(iter, static_cast<std::uint64_t>(c)) >> 11;
+      thresh[t] = t % 2 == 1 ? v + 1 : v;
+      if (t % 2 == 1) expected.push_back(c);
+    }
+    expect_same(thresh, bytes, rng, iter, cells,
+                "tied gates, iteration " + std::to_string(iter));
+    EXPECT_EQ(simd, expected) << "tied gates, iteration " << iter;
+  }
+
+  // Cell indices up to INT32_MAX. Their bytes sit at the top of a 2 GiB
+  // anonymous mapping that is never touched elsewhere, so it costs a page.
+  constexpr std::size_t kSpan = std::size_t{1} << 31;
+  void* map = mmap(nullptr, kSpan, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(map, MAP_FAILED) << "could not reserve 2 GiB of address space";
+  auto* high_bytes = static_cast<std::uint8_t*>(map);
+  std::vector<std::int32_t> high(40);
+  for (std::size_t b = 0; b < high.size(); ++b) {
+    high[b] = std::numeric_limits<std::int32_t>::max() -
+              static_cast<std::int32_t>(b);
+    high_bytes[high[b]] =
+        cell_byte(Cell::kRockFrontier, static_cast<int>(b % 9));
+  }
+  const std::span<const std::uint8_t> high_span(high_bytes, kSpan);
+  for (const std::uint64_t iter : iterations)
+    for (std::size_t len = 1; len <= high.size(); ++len)
+      expect_same(gate_table(0.3), high_span, rng, iter,
+                  std::span<const std::int32_t>(high).first(len),
+                  "cells near INT32_MAX, length " + std::to_string(len));
+  munmap(map, kSpan);
 }
 
 /// Steps `discs` for `steps` iterations and asserts, after every step, that

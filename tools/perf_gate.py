@@ -45,7 +45,8 @@ where absolute numbers cannot:
         "numerator": "BM_ServeEvalColdDp",      // the slow side
         "denominator": "BM_ServeCacheHitDp",
         "min_ratio": 10.0,                      // gate: num/den >= this
-        "min_cpus": 8                           // optional hardware guard
+        "min_cpus": 8,                          // optional hardware guard
+        "cpu_feature": "avx512f"                // optional hardware guard
       }
     }
 
@@ -53,7 +54,11 @@ A ratio whose benchmarks did not run fails the gate (same staleness rule as
 entries). `min_cpus` skips the ratio — with a printed notice — when the
 results report fewer CPUs (google-benchmark's context.num_cpus) or when the
 CPU count is unknown (JUnit results): thread-scaling contracts are only
-meaningful on machines that can physically exhibit them.
+meaningful on machines that can physically exhibit them. `cpu_feature`
+likewise skips the ratio unless the results' context carries that key with
+the value "1" (the benchmark binary records it with
+benchmark::AddCustomContext): a SIMD-vs-scalar speedup cannot show on a CPU
+that runs the scalar path for both.
 """
 
 import json
@@ -64,17 +69,17 @@ UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_junit(path):
-    """(name -> wall-clock seconds per testcase, num_cpus=None)."""
+    """(name -> wall-clock seconds per testcase, empty context)."""
     measured = {}
     for case in ET.parse(path).getroot().iter("testcase"):
         name = case.get("name", "")
         if name:
             measured[name] = float(case.get("time", "0"))
-    return measured, None
+    return measured, {}
 
 
 def load_benchmark_json(path):
-    """(name -> time in ns for plain iteration runs, context num_cpus).
+    """(name -> time in ns for plain iteration runs, the results' context).
 
     Benchmarks registered with UseRealTime() carry a "/real_time" name
     suffix; for those the wall clock is the honest number (a pooled
@@ -90,8 +95,7 @@ def load_benchmark_json(path):
         scale = UNIT_TO_NS[bench.get("time_unit", "ns")]
         field = "real_time" if bench["name"].endswith("/real_time") else "cpu_time"
         measured[bench["name"]] = float(bench[field]) * scale
-    num_cpus = results.get("context", {}).get("num_cpus")
-    return measured, int(num_cpus) if num_cpus is not None else None
+    return measured, results.get("context", {})
 
 
 def entry_fields(entry, global_factor):
@@ -144,12 +148,15 @@ def update_baseline(measured, baseline_path, unit, prune):
     return 0
 
 
-def check_ratios(ratios, measured, num_cpus, failures):
+def check_ratios(ratios, measured, context, failures):
     """Gate the baseline's `ratios` section; append failures in place."""
+    num_cpus = context.get("num_cpus")
+    num_cpus = int(num_cpus) if num_cpus is not None else None
     for label, spec in sorted(ratios.items()):
         num, den = spec["numerator"], spec["denominator"]
         min_ratio = float(spec["min_ratio"])
         min_cpus = spec.get("min_cpus")
+        feature = spec.get("cpu_feature")
         if min_cpus is not None and (num_cpus is None
                                      or num_cpus < int(min_cpus)):
             # Machine-checkable skip notice: CI greps for the literal
@@ -158,6 +165,12 @@ def check_ratios(ratios, measured, num_cpus, failures):
             have = "unknown" if num_cpus is None else str(num_cpus)
             print(f"  ratio {label}: skipped (cpus<{int(min_cpus)}) — "
                   f"needs >= {min_cpus} CPUs, results report {have}")
+            continue
+        if feature is not None and str(context.get(feature)) != "1":
+            # Same contract as above, greppable as "skipped (no <feature>)".
+            have = context.get(feature, "nothing")
+            print(f"  ratio {label}: skipped (no {feature}) — results "
+                  f"report {feature}={have}")
             continue
         missing = [n for n in (num, den) if n not in measured]
         if missing:
@@ -180,7 +193,8 @@ def check_ratios(ratios, measured, num_cpus, failures):
 TOP_LEVEL_KEYS = {"description", "unit", "max_factor", "floor",
                   "entries", "ratios"}
 ENTRY_KEYS = {"baseline", "max_factor"}
-RATIO_KEYS = {"numerator", "denominator", "min_ratio", "min_cpus"}
+RATIO_KEYS = {"numerator", "denominator", "min_ratio", "min_cpus",
+              "cpu_feature"}
 
 
 def _is_number(value):
@@ -254,6 +268,10 @@ def validate_baseline(path):
                 isinstance(spec["min_cpus"], int)
                 and not isinstance(spec["min_cpus"], bool)):
             errors.append(f"{where}: 'min_cpus' must be an integer")
+        if "cpu_feature" in spec and not (
+                isinstance(spec["cpu_feature"], str) and spec["cpu_feature"]):
+            errors.append(f"{where}: 'cpu_feature' must be a non-empty "
+                          "string")
     return errors
 
 
@@ -310,9 +328,9 @@ def main() -> int:
     results_path, baseline_path = args
 
     if results_path.endswith(".xml"):
-        (measured, num_cpus), unit = load_junit(results_path), "seconds"
+        (measured, context), unit = load_junit(results_path), "seconds"
     else:
-        (measured, num_cpus), unit = load_benchmark_json(results_path), "ns"
+        (measured, context), unit = load_benchmark_json(results_path), "ns"
     if not measured:
         print(f"error: no measurements found in {results_path}",
               file=sys.stderr)
@@ -350,7 +368,7 @@ def main() -> int:
     for name in sorted(set(entries) - set(measured)):
         print(f"  note: baseline entry '{name}' did not run", file=sys.stderr)
 
-    check_ratios(baseline.get("ratios", {}), measured, num_cpus, failures)
+    check_ratios(baseline.get("ratios", {}), measured, context, failures)
 
     if failures:
         print("\nperf gate FAILED:", file=sys.stderr)

@@ -11,9 +11,14 @@
 // of persistence makes slightly stale entries acceptable.
 //
 // Storage is structure-of-arrays: a `double` WIR plus an `int32` stamp per
-// PE, 12 bytes per entry. A gossip network holds P such databases, so the
-// P×P store is the dominant memory of a many-PE run. Stamps above INT32_MAX
-// are rejected rather than wrapped.
+// PE, 12 bytes per entry. Stamps above INT32_MAX are rejected rather than
+// wrapped. This is the standalone database, the value a
+// `GossipNetwork::database` read returns, and the reference the network's
+// tests compare against; the network does not hold P of these. Since one
+// (PE, stamp) pair has one WIR, the network stores only the int32 stamp per
+// entry (4 bytes) plus each PE's WIRs once, and rejects a conflicting
+// re-observation (see gossip.hpp). `update` here stays permissive: a
+// same-stamp update overwrites.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +67,8 @@ class WirDatabase {
   [[nodiscard]] std::int64_t max_staleness(std::int64_t now) const noexcept;
 
  private:
+  friend class GossipNetwork;  // gathers snapshots straight into the arrays
+
   std::vector<double> wirs_;          ///< 0.0 while the entry is unknown
   std::vector<std::int32_t> stamps_;  ///< kUnknown until first observed
 };

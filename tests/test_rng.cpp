@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -121,6 +122,40 @@ TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(41);
   EXPECT_THROW((void)rng.sample_without_replacement(3, 4),
                std::invalid_argument);
+}
+
+/// Reference sampler: the dense partial Fisher–Yates, k swaps over an
+/// n-slot identity array.
+std::vector<std::size_t> dense_sample(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> pool(n);
+  std::iota(pool.begin(), pool.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + rng.index(n - i);
+    std::swap(pool[i], pool[j]);
+  }
+  pool.resize(k);
+  return pool;
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesDenseShuffle) {
+  // Same picks in the same order, and the same draws consumed: the next
+  // engine output agrees too.
+  for (const std::size_t n : {1, 2, 3, 10, 64, 511, 1000}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                n / 2, n - 1, n}) {
+      if (k > n) continue;
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng sparse(seed), dense(seed);
+        for (int call = 0; call < 3; ++call)
+          ASSERT_EQ(sparse.sample_without_replacement(n, k),
+                    dense_sample(dense, n, k))
+              << "n=" << n << " k=" << k << " seed=" << seed
+              << " call=" << call;
+        EXPECT_EQ(sparse(), dense())
+            << "n=" << n << " k=" << k << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(Rng, NormalMomentsRoughlyCorrect) {

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/gossip.hpp"
@@ -92,6 +94,7 @@ TEST(WirDatabase, BoundsChecked) {
 }
 
 TEST(Gossip, ConstructionChecks) {
+  EXPECT_THROW(GossipNetwork(-1, 1), std::invalid_argument);
   EXPECT_THROW(GossipNetwork(1, 1), std::invalid_argument);
   EXPECT_THROW(GossipNetwork(4, 0), std::invalid_argument);
   EXPECT_THROW(GossipNetwork(4, 4), std::invalid_argument);
@@ -279,6 +282,81 @@ TEST(Gossip, OracleObservationReachesEveryDatabaseInstantly) {
   EXPECT_THROW(net.observe_oracle(8, 1.0, 0), std::invalid_argument);
 }
 
+TEST(Gossip, ConflictingReobservationIsRejected) {
+  // One (PE, stamp) pair has one WIR: repeating it is fine, changing it is
+  // refused (and leaves the network as it was), a stale stamp is ignored.
+  GossipNetwork net(4, 1);
+  net.observe_local(1, 2.0, 5);
+  EXPECT_NO_THROW(net.observe_local(1, 2.0, 5));
+  EXPECT_THROW(net.observe_local(1, 3.0, 5), std::invalid_argument);
+  EXPECT_NO_THROW(net.observe_local(1, 9.0, 4));
+  EXPECT_DOUBLE_EQ(net.database(1).entry(1).wir, 2.0);
+  EXPECT_EQ(net.database(1).entry(1).iteration, 5);
+  // The oracle takes (1, 5) into the databases that lack it, so it must
+  // agree with PE 1's local observation.
+  EXPECT_THROW(net.observe_oracle(1, 3.0, 5), std::invalid_argument);
+  EXPECT_FALSE(net.database(0).entry(1).known());
+
+  net.observe_oracle(2, 1.5, 3);
+  EXPECT_NO_THROW(net.observe_oracle(2, 1.5, 3));
+  EXPECT_THROW(net.observe_oracle(2, 4.0, 3), std::invalid_argument);
+  EXPECT_THROW(net.observe_local(2, 4.0, 3), std::invalid_argument);
+  net.observe_oracle(2, 1.0, 6);
+  EXPECT_NO_THROW(net.observe_oracle(2, 7.0, 3));
+  EXPECT_NO_THROW(net.observe_local(2, 7.0, 3));
+  for (std::int64_t pe = 0; pe < 4; ++pe) {
+    EXPECT_DOUBLE_EQ(net.database(pe).entry(2).wir, 1.0) << "PE " << pe;
+    EXPECT_EQ(net.database(pe).entry(2).iteration, 6) << "PE " << pe;
+  }
+}
+
+TEST(Gossip, RetainedLogStaysBoundedOver10000Rounds) {
+  // Each round observes every PE at a fresh stamp, as the app does; without
+  // reclamation the logs would hold P · rounds = 160000 observations.
+  constexpr std::int64_t kPes = 16;
+  GossipNetwork net(kPes, 1);
+  support::Rng rng(11);
+  std::size_t most = 0;
+  for (std::int64_t t = 0; t < 10000; ++t) {
+    for (std::int64_t pe = 0; pe < kPes; ++pe)
+      net.observe_local(pe, static_cast<double>((t + pe) % 7), t);
+    net.step(rng);
+    most = std::max(most, net.retained_observations());
+  }
+  EXPECT_LE(most, static_cast<std::size_t>(kPes * 128));
+  EXPECT_GE(net.retained_observations(), static_cast<std::size_t>(kPes));
+  for (std::int64_t pe = 0; pe < kPes; ++pe) {
+    const WirDatabase db = net.database(pe);
+    for (std::int64_t src = 0; src < kPes; ++src)
+      EXPECT_DOUBLE_EQ(db.entry(src).wir,
+                       static_cast<double>((db.entry(src).iteration + src) % 7))
+          << "pe=" << pe << " src=" << src;
+  }
+}
+
+TEST(Gossip, StaleEntriesKeepTheirOwnWir) {
+  // Databases that still hold PE 0's stamp-0 observation must read its WIR
+  // after PE 0 logged 100 newer ones: past the per-PE cache of recent
+  // stamps (whose slot for stamp 0 now holds stamp 96) and across the
+  // reclamation that runs in round 16.
+  GossipNetwork net(4, 1);
+  net.observe_oracle(0, 0.5, 0);
+  support::Rng rng(13);
+  for (int round = 0; round < 15; ++round) net.step(rng);
+  for (std::int64_t t = 1; t <= 100; ++t)
+    net.observe_local(0, 0.5 + static_cast<double>(t), t);
+  net.step(rng);  // PE 0 reaches one peer; two still hold stamp 0
+  int stale = 0;
+  for (std::int64_t pe = 0; pe < 4; ++pe) {
+    const WirDatabase::Entry e = net.database(pe).entry(0);
+    EXPECT_TRUE(e.iteration == 0 || e.iteration == 100) << "PE " << pe;
+    EXPECT_DOUBLE_EQ(e.wir, 0.5 + static_cast<double>(e.iteration))
+        << "PE " << pe;
+    if (e.iteration == 0) ++stale;
+  }
+  EXPECT_EQ(stale, 2);
+}
+
 TEST(Gossip, FresherObservationsOverwriteDuringDissemination) {
   GossipNetwork net(4, 3);  // full fanout: one round reaches everyone
   net.observe_local(0, 1.0, 0);
@@ -306,45 +384,52 @@ void snapshot_step(std::vector<WirDatabase>& dbs, std::int64_t fanout,
 
 TEST(Gossip, CopyOnWriteRoundMatchesFullSnapshotRound) {
   // Random local and oracle traffic, with stale stamps and same-stamp
-  // rewrites of different values (so the tie order of merges matters).
+  // re-observations. Each (PE, iteration)'s WIR is drawn once and every
+  // re-observation repeats it: the network rejects a conflicting one.
+  std::vector<std::pair<std::int64_t, std::int64_t>> shapes;
   for (const std::int64_t pe_count : {2, 3, 17, 64}) {
-    for (const std::int64_t fanout : {std::int64_t{1}, pe_count - 1}) {
-      GossipNetwork net(pe_count, fanout);
-      std::vector<WirDatabase> reference(static_cast<std::size_t>(pe_count),
-                                         WirDatabase(pe_count));
-      support::Rng traffic(static_cast<std::uint64_t>(pe_count * 31 + fanout));
-      support::Rng net_rng(7), reference_rng(7);
-      for (std::int64_t round = 0; round < 200; ++round) {
-        const std::int64_t events = traffic.uniform_int(0, 2 * pe_count);
-        for (std::int64_t e = 0; e < events; ++e) {
-          const std::int64_t pe = traffic.uniform_int(0, pe_count - 1);
-          const double wir = traffic.uniform(0.0, 10.0);
-          const std::int64_t iteration =
-              std::max<std::int64_t>(0, round - traffic.uniform_int(0, 3));
-          if (traffic.uniform_int(0, 9) == 0) {
-            net.observe_oracle(pe, wir, iteration);
-            for (WirDatabase& db : reference) db.update(pe, wir, iteration);
-          } else {
-            net.observe_local(pe, wir, iteration);
-            reference[static_cast<std::size_t>(pe)].update(pe, wir,
-                                                           iteration);
-          }
+    shapes.emplace_back(pe_count, 1);
+    shapes.emplace_back(pe_count, pe_count - 1);
+  }
+  shapes.emplace_back(512, 2);
+  for (const auto& [pe_count, fanout] : shapes) {
+    GossipNetwork net(pe_count, fanout);
+    std::vector<WirDatabase> reference(static_cast<std::size_t>(pe_count),
+                                       WirDatabase(pe_count));
+    std::map<std::pair<std::int64_t, std::int64_t>, double> measured;
+    support::Rng traffic(static_cast<std::uint64_t>(pe_count * 31 + fanout));
+    support::Rng net_rng(7), reference_rng(7);
+    for (std::int64_t round = 0; round < 200; ++round) {
+      const std::int64_t events = traffic.uniform_int(0, 2 * pe_count);
+      for (std::int64_t e = 0; e < events; ++e) {
+        const std::int64_t pe = traffic.uniform_int(0, pe_count - 1);
+        const double fresh = traffic.uniform(0.0, 10.0);
+        const std::int64_t iteration =
+            std::max<std::int64_t>(0, round - traffic.uniform_int(0, 3));
+        const double wir =
+            measured.try_emplace({pe, iteration}, fresh).first->second;
+        if (traffic.uniform_int(0, 9) == 0) {
+          net.observe_oracle(pe, wir, iteration);
+          for (WirDatabase& db : reference) db.update(pe, wir, iteration);
+        } else {
+          net.observe_local(pe, wir, iteration);
+          reference[static_cast<std::size_t>(pe)].update(pe, wir, iteration);
         }
-        net.step(net_rng);
-        snapshot_step(reference, fanout, reference_rng);
       }
-      for (std::int64_t pe = 0; pe < pe_count; ++pe) {
-        for (std::int64_t src = 0; src < pe_count; ++src) {
-          const auto got = net.database(pe).entry(src);
-          const auto want =
-              reference[static_cast<std::size_t>(pe)].entry(src);
-          ASSERT_EQ(got.iteration, want.iteration)
-              << "P=" << pe_count << " f=" << fanout << " pe=" << pe
-              << " src=" << src;
-          ASSERT_EQ(got.wir, want.wir)
-              << "P=" << pe_count << " f=" << fanout << " pe=" << pe
-              << " src=" << src;
-        }
+      net.step(net_rng);
+      snapshot_step(reference, fanout, reference_rng);
+    }
+    for (std::int64_t pe = 0; pe < pe_count; ++pe) {
+      const WirDatabase got_db = net.database(pe);
+      for (std::int64_t src = 0; src < pe_count; ++src) {
+        const auto got = got_db.entry(src);
+        const auto want = reference[static_cast<std::size_t>(pe)].entry(src);
+        ASSERT_EQ(got.iteration, want.iteration)
+            << "P=" << pe_count << " f=" << fanout << " pe=" << pe
+            << " src=" << src;
+        ASSERT_EQ(got.wir, want.wir)
+            << "P=" << pe_count << " f=" << fanout << " pe=" << pe
+            << " src=" << src;
       }
     }
   }

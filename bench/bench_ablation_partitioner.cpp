@@ -9,9 +9,7 @@
 // does not hinge on cutting quality.)
 //
 // Both sweeps live in the shared cli::sweep layer, so this harness drives
-// the same implementation as `ulba_cli erosion --partitioner` — and the
-// end-to-end pass steps through the sharded domain (4 shards), doubling as
-// a partition-invariance exercise on the full app path.
+// the same implementation as `ulba_cli erosion --partitioner`.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -50,9 +48,9 @@ int main() {
   std::printf("%s\n", quality.render(2).c_str());
 
   // Part 2: end-to-end effect on the Figure-4a comparison (64 PEs, 1 rock),
-  // stepped through 4 host shards cut by the partitioner under test.
+  // LB steps cut by the partitioner under test.
   const std::vector<std::uint64_t> seeds{11, 22, 33};
-  const auto e2e_rows = bench::partitioner_end_to_end(names, 64, 1, seeds, 4);
+  const auto e2e_rows = bench::partitioner_end_to_end(names, 64, 1, seeds);
   support::Table e2e({"partitioner", "standard [s]", "ULBA [s]", "ULBA gain"});
   for (const auto& row : e2e_rows) {
     e2e.add_row({row.name, support::Table::num(row.median_standard, 3),
@@ -61,7 +59,7 @@ int main() {
                                          row.median_standard,
                                      1)});
   }
-  std::printf("End-to-end erosion run (64 PEs, 1 strong rock, 4 shards, "
+  std::printf("End-to-end erosion run (64 PEs, 1 strong rock, "
               "median of %zu seeds):\n\n%s\n",
               seeds.size(), e2e.render(2).c_str());
 

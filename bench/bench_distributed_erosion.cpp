@@ -27,7 +27,7 @@ int main() {
   bench::print_header(
       "Distributed erosion — SPMD ranks, real halo/migration messages",
       "extends Boulmier et al. SectionIV-B beyond one address space "
-      "(ROADMAP: distribute the sharded domain)");
+      "(ROADMAP: distribute the erosion domain)");
 
   const std::vector<std::int64_t> rank_counts{1, 2, 4, 8};
   const std::vector<std::string> partitioners{"greedy", "rcb", "optimal",

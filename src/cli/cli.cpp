@@ -29,13 +29,10 @@ std::string quickstart_help() {
          "options:\n"
          "  --threads <int>      host threads stepping the mini erosion run "
          "[1]\n"
-         "  --shards <int>       host shards stepping the mini erosion run "
-         "[1]\n"
          "  --ranks <int>        SPMD ranks stepping the mini erosion run "
          "over the\n"
-         "                       message-passing runtime (exclusive with "
-         "--shards) [1]\n"
-         "  --partitioner <name> shard/stripe cutter: greedy|rcb|optimal|"
+         "                       message-passing runtime [1]\n"
+         "  --partitioner <name> stripe cutter: greedy|rcb|optimal|"
          "stripe [greedy]\n"
          "  --seed <int>         placement seed of the mini erosion run "
          "[11]\n\n" +
@@ -71,19 +68,14 @@ std::string erosion_help() {
          "addressed by\n"
          "                         disc, iteration and cell; the only "
          "kind)  [counter]\n"
-         "  --shards <int>         host shards stepping the dynamics "
-         "(bit-identical\n"
-         "                         to the serial run; exclusive with --ranks)"
-         "  [1]\n"
          "  --ranks <int>          SPMD ranks stepping the dynamics over the "
          "message-\n"
          "                         passing runtime: per-rank column stripes, "
          "real halo/\n"
          "                         migration messages, bit-identical to the "
          "serial run\n"
-         "                         (exclusive with --shards; composes with "
-         "--mt)  [1]\n"
-         "  --partitioner <name>   disc-to-shard/rank + LB cutting "
+         "                         (composes with --mt)  [1]\n"
+         "  --partitioner <name>   disc-to-rank + LB cutting "
          "algorithm:\n"
          "                         greedy|rcb|optimal|stripe      [greedy]\n"
          "  --exchange <mode>      per-step exchange of the distributed "

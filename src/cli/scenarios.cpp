@@ -44,8 +44,8 @@ std::string timeline(const core::Schedule& s) {
 }
 
 /// The standard method and ULBA on `cfg`, in that order. They share the
-/// dynamics: run_all steps them once for both (in-process, unsharded runs)
-/// or runs each method alone.
+/// dynamics: run_all steps them once for both (in-process runs) or runs
+/// each method alone (distributed runs).
 std::vector<erosion::RunResult> run_both_methods(
     const erosion::AppConfig& cfg) {
   std::array<erosion::AppConfig, 2> pair{cfg, cfg};
@@ -86,21 +86,16 @@ core::ModelParams intervals_defaults() {
 
 int run_quickstart(const FlagMap& flags, std::ostream& out) {
   flags.require_known(
-      with_model_flags({"threads", "shards", "ranks", "partitioner", "seed"}));
+      with_model_flags({"threads", "ranks", "partitioner", "seed"}));
   const core::ModelParams p =
       parse_model_params(flags, quickstart_defaults());
   const std::uint64_t seed = flags.get_seed("seed", 11);
   const std::int64_t threads = flags.get_int("threads", 1);
-  const std::int64_t shards = flags.get_int("shards", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
   const std::string partitioner = flags.get_string("partitioner", "greedy");
   ULBA_REQUIRE(threads >= 1 && threads <= 256,
                "--threads must be in [1, 256]");
-  ULBA_REQUIRE(shards >= 1 && shards <= 16, "--shards must be in [1, 16]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= 16, "--ranks must be in [1, 16]");
-  ULBA_REQUIRE(shards == 1 || ranks == 1,
-               "--shards steps in-process, --ranks steps over the SPMD "
-               "runtime; pick one");
   // Reject bad names before any of the analytic report is streamed.
   (void)lb::make_partitioner(partitioner);
 
@@ -142,7 +137,6 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   mini.iterations = 120;
   mini.alpha = p.alpha;
   mini.threads = threads;
-  mini.shards = shards;
   mini.ranks = ranks;
   mini.partitioner = partitioner;
   mini.validate();
@@ -151,7 +145,6 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
   const erosion::RunResult& mini_ulba = mini_runs[1];
   out << "\nin practice (mini erosion run: 16 PEs, seed " << mini.seed
       << ", " << threads << " thread(s)";
-  if (shards > 1) out << ", " << shards << " shards via " << partitioner;
   if (ranks > 1) out << ", " << ranks << " SPMD ranks via " << partitioner;
   out << "):\n"
       << "  standard : " << mini_std.total_seconds << " s  ("
@@ -168,7 +161,7 @@ int run_quickstart(const FlagMap& flags, std::ostream& out) {
 int run_erosion(const FlagMap& flags, std::ostream& out) {
   flags.require_known({"mt", "pes", "strong", "seed", "iterations", "alpha",
                        "columns-per-pe", "rows", "rock-radius", "threads",
-                       "shards", "ranks", "partitioner", "exchange",
+                       "ranks", "partitioner", "exchange",
                        "ns-scale", "migration-scale", "rng", "decomp", "grid",
                        "tuner", "tuner-cap", "tuner-maxiter", "tuner-tol",
                        "trigger-source", "trigger-criterion", "fli-threshold",
@@ -179,7 +172,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   const std::uint64_t seed = flags.get_seed("seed", 11);
   const double alpha = flags.get_double("alpha", 0.4);
   const std::int64_t threads = flags.get_int("threads", 1);
-  const std::int64_t shards = flags.get_int("shards", 1);
   const std::int64_t ranks = flags.get_int("ranks", 1);
   const std::string partitioner = flags.get_string("partitioner", "greedy");
   const std::string exchange = flags.get_string("exchange", "neighbor");
@@ -203,14 +195,10 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   ULBA_REQUIRE(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]");
   ULBA_REQUIRE(threads >= 1 && threads <= 256,
                "--threads must be in [1, 256]");
-  ULBA_REQUIRE(shards >= 1 && shards <= 64, "--shards must be in [1, 64]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= 64, "--ranks must be in [1, 64]");
   ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,
                "--ns-scale must be positive, --migration-scale "
                "nonnegative");
-  ULBA_REQUIRE(shards == 1 || ranks == 1,
-               "--shards steps in-process, --ranks steps over the SPMD "
-               "runtime; pick one");
   ULBA_REQUIRE(!mt || ranks > 1,
                "--mt measures the SPMD runtime; pass --ranks R (R > 1)");
   ULBA_REQUIRE(mt || (!flags.has("ns-scale") && !flags.has("migration-scale")),
@@ -275,7 +263,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   cfg.comm.latency_s = 1e-4;
   cfg.comm.bandwidth_Bps = 2e9;
   cfg.threads = threads;
-  cfg.shards = shards;
   cfg.ranks = ranks;
   cfg.partitioner = partitioner;
   cfg.exchange = exchange;
@@ -305,10 +292,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   out << "(counter-based RNG: Philox draws addressed by (disc, iteration, "
          "cell); one trajectory for every threads/shards/ranks "
          "combination)\n";
-  if (cfg.shards > 1)
-    out << "(sharded stepping: " << cfg.shards << " shards cut by "
-        << cfg.partitioner
-        << "; trajectory bit-identical to the unsharded serial run)\n";
   if (cfg.ranks > 1 && cfg.decomp == "grid") {
     const lb::GridShape shape =
         lb::resolve_grid_shape(cfg.ranks, cfg.grid_rows, cfg.grid_cols);
@@ -364,16 +347,6 @@ int run_erosion(const FlagMap& flags, std::ostream& out) {
   };
   report("standard LB method (adaptive trigger of Zhai et al.):", std_run);
   report("ULBA (anticipatory underloading):", ulba_run);
-
-  if (cfg.shards > 1) {
-    out << "re-sharding (one boundary-delta exchange per LB step):\n"
-        << "  standard : " << std_run.shard_discs_moved
-        << " disc move(s), " << std_run.shard_migration_bytes / 1e6
-        << " MB exchanged\n"
-        << "  ULBA     : " << ulba_run.shard_discs_moved
-        << " disc move(s), " << ulba_run.shard_migration_bytes / 1e6
-        << " MB exchanged\n\n";
-  }
 
   if (cfg.ranks > 1) {
     out << "rank migration (real messages, one stripe recut per LB step):\n"

@@ -309,34 +309,37 @@ std::vector<PartitionerQualityRow> partitioner_quality_sweep(
 
 std::vector<PartitionerEndToEnd> partitioner_end_to_end(
     std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds,
-    std::int64_t shards) {
+    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds) {
   ULBA_REQUIRE(!names.empty() && !seeds.empty(),
                "need at least one partitioner and one seed");
-  struct Case {
-    std::size_t name_idx;
-    erosion::Method method;
-    std::uint64_t seed;
-  };
-  std::vector<Case> cases;
-  for (std::size_t ni = 0; ni < names.size(); ++ni)
-    for (const auto m : {erosion::Method::kStandard, erosion::Method::kUlba})
-      for (const std::uint64_t s : seeds) cases.push_back({ni, m, s});
-  const auto results = parallel_map(cases.size(), [&](std::size_t i) {
-    erosion::AppConfig cfg = scaled_app_config(pe_count, strong_rocks,
-                                               cases[i].method, cases[i].seed);
-    cfg.partitioner = names[cases[i].name_idx];
-    cfg.shards = shards;
-    return erosion::ErosionApp(cfg).run().total_seconds;
+  // Every (partitioner, method) config of one seed shares the erosion
+  // dynamics, so erosion::run_all steps them once per seed. Totals come
+  // back in (partitioner, method) order.
+  const auto results = parallel_map(seeds.size(), [&](std::size_t i) {
+    std::vector<erosion::AppConfig> configs;
+    configs.reserve(2 * names.size());
+    for (const std::string& name : names) {
+      for (const auto m :
+           {erosion::Method::kStandard, erosion::Method::kUlba}) {
+        erosion::AppConfig cfg =
+            scaled_app_config(pe_count, strong_rocks, m, seeds[i]);
+        cfg.partitioner = name;
+        configs.push_back(cfg);
+      }
+    }
+    std::vector<double> totals;
+    totals.reserve(configs.size());
+    for (const erosion::RunResult& r : erosion::run_all(configs))
+      totals.push_back(r.total_seconds);
+    return totals;
   });
 
   std::vector<PartitionerEndToEnd> rows;
   for (std::size_t ni = 0; ni < names.size(); ++ni) {
     std::vector<double> t_std, t_ulba;
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      if (cases[i].name_idx != ni) continue;
-      (cases[i].method == erosion::Method::kStandard ? t_std : t_ulba)
-          .push_back(results[i]);
+    for (const std::vector<double>& totals : results) {
+      t_std.push_back(totals[2 * ni]);
+      t_ulba.push_back(totals[2 * ni + 1]);
     }
     rows.push_back({names[ni], support::median(t_std),
                     support::median(t_ulba)});

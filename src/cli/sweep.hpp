@@ -160,9 +160,8 @@ struct PartitionerQualityRow {
     std::int64_t snapshots, std::int64_t iterations_between,
     std::uint64_t seed);
 
-/// Median end-to-end erosion times per partitioner (standard vs. ULBA),
-/// stepped through `shards` host shards (1 = the unsharded classic path —
-/// the totals are shard-invariant either way).
+/// Median end-to-end erosion times per partitioner (standard vs. ULBA) over
+/// `seeds`; each seed's configs step their shared dynamics once.
 struct PartitionerEndToEnd {
   std::string name;
   double median_standard = 0.0;
@@ -170,8 +169,7 @@ struct PartitionerEndToEnd {
 };
 [[nodiscard]] std::vector<PartitionerEndToEnd> partitioner_end_to_end(
     std::span<const std::string> names, std::int64_t pe_count,
-    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds,
-    std::int64_t shards);
+    std::int64_t strong_rocks, std::span<const std::uint64_t> seeds);
 
 // ---------------------------------------------------------------------------
 // Dynamic-α ablation (ulba_cli dynamic-alpha, bench_ablation_dynamic_alpha)

@@ -16,7 +16,6 @@
 #include "core/trigger.hpp"
 #include "core/schedule_query.hpp"
 #include "erosion/distributed_domain.hpp"
-#include "erosion/sharded_domain.hpp"
 #include "lb/driver.hpp"
 #include "opt/evaluate.hpp"
 #include "lb/stripe_partitioner.hpp"
@@ -690,14 +689,11 @@ DomainConfig domain_of(const AppConfig& config) {
   return d;
 }
 
-/// The lockstep grouping rule of run_all: both configs step in-process and
-/// unsharded, and every input of their dynamics — the domain, the seed,
-/// the horizon and the stepping threads — is equal.
+/// The lockstep grouping rule of run_all: both configs step in-process,
+/// and every input of their dynamics — the domain, the seed, the horizon
+/// and the stepping threads — is equal.
 bool shares_dynamics(const AppConfig& a, const AppConfig& b) {
-  const auto in_process = [](const AppConfig& c) {
-    return c.shards == 1 && c.ranks == 1;
-  };
-  return in_process(a) && in_process(b) && a.pe_count == b.pe_count &&
+  return a.ranks == 1 && b.ranks == 1 && a.pe_count == b.pe_count &&
          a.columns_per_pe == b.columns_per_pe && a.rows == b.rows &&
          a.rock_radius == b.rock_radius &&
          a.strong_rock_count == b.strong_rock_count &&
@@ -710,37 +706,20 @@ bool shares_dynamics(const AppConfig& a, const AppConfig& b) {
 
 /// The in-process run (ranks == 1) of one lockstep group: a single domain
 /// steps the shared dynamics once per iteration, and every config's
-/// LbController observes and balances against it. A sharded config
-/// (shards > 1) is always a group of one — the re-shard follows its own
-/// controller's LB steps. Results come back in group order.
+/// LbController observes and balances against it. Results come back in
+/// group order.
 std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
   const AppConfig& lead = *group.front();
   // Independent streams: the dynamics must not depend on LB decisions, so
   // every variant sees identical erosion for one seed. The counter kernel
   // consumes only the forked sub-seed (its draws are position-addressed).
   const std::uint64_t dynamics_seed = support::Rng(lead.seed).fork(1).seed();
-  const DomainConfig domain_config = domain_of(lead);
+  ErosionDomain domain(domain_of(lead));
 
-  // One partitioner per config serves both its centralized LB technique's
-  // cuts and — sharded runs only — the host-side disc-to-shard assignment.
   std::deque<LbController> ctls;
-  std::shared_ptr<const lb::Partitioner> lead_partitioner;
-  for (const AppConfig* config : group) {
-    std::shared_ptr<const lb::Partitioner> partitioner(
-        lb::make_partitioner(config->partitioner));
-    if (!lead_partitioner) lead_partitioner = partitioner;
-    ctls.emplace_back(*config, std::move(partitioner), domain_config.columns);
-  }
-
-  // shards > 1 steps through ShardedDomain for its re-shard accounting; the
-  // trajectory is the unsharded one either way.
-  std::optional<ErosionDomain> plain;
-  std::optional<ShardedDomain> sharded;
-  if (lead.shards > 1)
-    sharded.emplace(domain_config, lead.shards, lead_partitioner);
-  else
-    plain.emplace(domain_config);
-  const ErosionDomain& domain = sharded ? sharded->domain() : *plain;
+  for (const AppConfig* config : group)
+    ctls.emplace_back(*config, lb::make_partitioner(config->partitioner),
+                      domain.config().columns);
 
   // The counter kernel's pool; without one it steps inline.
   std::optional<support::ThreadPool> pool;
@@ -751,10 +730,7 @@ std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
     for (LbController& ctl : ctls) ctl.observe(iter, domain.column_weights());
 
     // --- application dynamics (independent of every LB decision)
-    if (sharded)
-      sharded->step_counter(dynamics_seed, iter, pool_ptr);
-    else
-      plain->step_counter(dynamics_seed, iter, pool_ptr);
+    domain.step_counter(dynamics_seed, iter, pool_ptr);
 
     const double total_workload = domain.total_workload();
     std::optional<std::vector<double>> bytes;  // shared by this iteration's LBs
@@ -762,15 +738,6 @@ std::vector<RunResult> run_in_process(std::span<const AppConfig* const> group) {
       if (ctl.should_balance(iter, total_workload)) {
         if (!bytes) bytes = domain.column_bytes();
         ctl.balance(iter, domain.column_weights(), *bytes, total_workload);
-        if (sharded) {
-          // Re-shard against the freshly balanced weights — the boundary
-          // workload deltas move with the LB step. The trajectory is
-          // shard-invariant, so this only affects the reported migration
-          // accounting.
-          const ReshardResult reshard = sharded->rebalance();
-          ctl.result().shard_discs_moved += reshard.discs_moved;
-          ctl.result().shard_migration_bytes += reshard.migration.total_bytes;
-        }
       }
       ctl.end_iteration();
     }
@@ -813,13 +780,8 @@ void AppConfig::validate() const {
   ULBA_REQUIRE(lb_phase >= 0 && lb_phase < lb_period,
                "LB phase must lie in [0, lb_period)");
   ULBA_REQUIRE(threads >= 1, "need at least one stepping thread");
-  ULBA_REQUIRE(shards >= 1 && shards <= pe_count,
-               "shard count must lie in [1, pe_count]");
   ULBA_REQUIRE(ranks >= 1 && ranks <= pe_count,
                "rank count must lie in [1, pe_count]");
-  ULBA_REQUIRE(ranks == 1 || shards == 1,
-               "distributed stepping (ranks > 1) and in-process sharding "
-               "(shards > 1) are mutually exclusive");
   ULBA_REQUIRE(!measure_time || ranks > 1,
                "measured-time mode runs on the SPMD runtime (ranks > 1)");
   ULBA_REQUIRE(ns_scale > 0.0 && migration_scale >= 0.0,

@@ -20,9 +20,8 @@
 // steps the dynamics of a group of configs ONCE and drives one LbController
 // per config against the shared column weights. Configs share a group when
 // their make_domain() inputs, seed, iterations and threads are equal and
-// all of them step in-process unsharded (shards == 1, ranks == 1).
-// Every other config runs alone. Each result equals a solo run of its
-// config bit for bit.
+// all of them step in-process (ranks == 1). Every distributed config runs
+// alone. Each result equals a solo run of its config bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +70,7 @@ enum class AlphaPolicy {
 enum class RngKind {
   /// Counter-based Philox draws addressed by (disc, iteration, cell)
   /// through support::CounterRng: decide AND commit run fully parallel, and
-  /// ONE trajectory serves every (threads × shards × ranks) combination.
+  /// ONE trajectory serves every (threads × ranks) combination.
   kCounter,
 };
 
@@ -90,7 +89,7 @@ enum class TriggerMode {
 /// Which clock feeds the LB trigger (the measured-signal control loop).
 enum class TriggerSource {
   /// Verdicts from the virtual-time LbController — the historical contract:
-  /// bit-identical RunResult across threads/shards/ranks/mt.
+  /// bit-identical RunResult across threads/ranks/mt.
   kModel,
   /// Verdicts from real steady_clock signals gathered on the SPMD runtime
   /// (requires ranks > 1 with measure_time): the per-iteration burn maxima
@@ -162,26 +161,18 @@ struct AppConfig {
 
   /// Cutting algorithm, by lb::make_partitioner name: "greedy" (the paper's
   /// §IV-B stripe technique), "rcb", "optimal" (E-X5), or "stripe" (even
-  /// widths). Drives BOTH the centralized LB technique's cuts and — when
-  /// `shards` > 1 — the disc-to-shard assignment of the sharded stepper.
+  /// widths). Drives the centralized LB technique's cuts and — when
+  /// `ranks` > 1 — the rank-stripe recuts of the distributed stepper.
   std::string partitioner = "greedy-scan";
-
-  /// Host-side shards stepping the erosion dynamics (erosion::ShardedDomain).
-  /// 1 = the plain ErosionDomain. K > 1 splits the discs across K shards
-  /// cut by `partitioner` and re-shards at every LB step, for the re-shard
-  /// accounting; the trajectory is the unsharded one for every (K,
-  /// partitioner, threads) combination.
-  std::int64_t shards = 1;
 
   /// SPMD ranks stepping the erosion dynamics through the message-passing
   /// runtime (erosion::DistributedDomain): each rank owns a contiguous
   /// column stripe plus the discs centered in it — no shared state — and
   /// halo deltas, frontier metadata, and LB-step migrations travel as real
-  /// runtime::Mailbox messages. 1 = the in-process steppers (plain or
-  /// sharded). The trajectory and the final report are bit-identical to
-  /// the serial run for every (ranks, partitioner, threads) combination;
-  /// `threads` > 1 gives each rank its own stepping pool. Mutually
-  /// exclusive with `shards` > 1.
+  /// runtime::Mailbox messages. 1 = the in-process ErosionDomain. The
+  /// trajectory and the final report are bit-identical to the serial run
+  /// for every (ranks, partitioner, threads) combination; `threads` > 1
+  /// gives each rank its own stepping pool.
   std::int64_t ranks = 1;
 
   /// Per-step exchange protocol of the distributed stepper, by
@@ -257,8 +248,8 @@ struct AppConfig {
   AlphaPolicy alpha_policy = AlphaPolicy::kFixed;
 
   /// RNG discipline of the erosion dynamics (see RngKind): the counter
-  /// kernel, whose single trajectory is invariant across `threads`,
-  /// `shards`, and `ranks` and independent of LB decisions.
+  /// kernel, whose single trajectory is invariant across `threads` and
+  /// `ranks` and independent of LB decisions.
   RngKind rng_kind = RngKind::kCounter;
 
   void validate() const;
@@ -321,10 +312,6 @@ struct RunResult {
   /// to lb_iterations). config.alpha under AlphaPolicy::kFixed; what the
   /// policy chose otherwise. Always 0 under Method::kStandard.
   std::vector<double> lb_alphas;
-  /// Sharded stepping only (shards > 1): discs that changed shard across all
-  /// re-shard steps, and the summed migration volume those moves would cost.
-  std::int64_t shard_discs_moved = 0;
-  double shard_migration_bytes = 0.0;
   /// Distributed stepping only (ranks > 1): discs that changed rank across
   /// all rank-stripe recuts, the summed analytic migration volume of those
   /// recuts, and the real message payload bytes the migrations put on the
@@ -370,7 +357,7 @@ class ErosionApp {
 /// Run every config (each validated first); results come back in input
 /// order, each equal to `ErosionApp(config).run()`. Configs whose dynamics
 /// are identical (see the header comment) step in lockstep on one domain;
-/// distributed and sharded configs run alone.
+/// distributed configs run alone.
 [[nodiscard]] std::vector<RunResult> run_all(
     std::span<const AppConfig> configs);
 

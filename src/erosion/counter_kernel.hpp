@@ -1,5 +1,5 @@
 // The erosion step kernel — ONE decide+apply implementation shared by all
-// steppers (serial, pooled, sharded, distributed).
+// steppers (serial, pooled, distributed).
 //
 // Every Bernoulli draw is addressed by (disc, iteration, cell index) through
 // support::CounterRng, so NOTHING in the step depends on evaluation order.
@@ -57,9 +57,9 @@
 // CounterWorkspace::erode. The commit is itself order-independent (every
 // eroded cell credits the same constant to a column accumulator — the same
 // property the distributed halo exchange relies on), so the whole step is
-// bit-identical for every thread count, shard count, and rank count by
-// construction. Locked by test_counter_rng and the counter sweeps of
-// test_sharded_erosion / test_distributed_erosion.
+// bit-identical for every thread count and rank count by construction.
+// Locked by test_counter_rng and the counter sweeps of
+// test_distributed_erosion.
 #pragma once
 
 #include <cstddef>
@@ -116,7 +116,7 @@ void decide_cells(std::span<const std::uint64_t, kMaxTrials + 1> thresh,
 
 /// One counter-addressed decide+apply pass over `discs` at `iteration`.
 /// `disc_ids[k]` is the GLOBAL id of discs[k] — the RNG stream key — so a
-/// rank/shard stepping a subset produces exactly the draws the full-domain
+/// rank stepping a subset produces exactly the draws the full-domain
 /// stepper would. Pass pool == nullptr (or a pool of 1) for the inline
 /// serial path; results are bit-identical either way. Returns the number of
 /// cells eroded across `discs`; per-disc detail stays in ws.erode.

@@ -1,7 +1,6 @@
 // Disc-local erosion mechanics, factored out of ErosionDomain so every
-// stepper — the serial domain, the sharded in-process stepper, and the
-// SPMD-distributed stepper — drives ONE implementation of the cellular
-// automaton:
+// stepper — the serial domain and the SPMD-distributed stepper — drives ONE
+// implementation of the cellular automaton:
 //
 //   * build_disc_state  — rasterize a RockDisc into its bounding-box cell
 //                         grid and initial frontier, one row span at a

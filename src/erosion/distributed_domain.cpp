@@ -130,8 +130,7 @@ void DistributedDomain::init_stripes() {
   std::vector<double> full, full_rows;
   replay_initial_weights(full, full_rows);
 
-  // Initial cut: even targets against the initial weights, exactly like the
-  // sharded stepper's construction.
+  // Initial cut: even targets against the initial weights.
   const std::vector<double> targets(static_cast<std::size_t>(R),
                                     1.0 / static_cast<double>(R));
   boundaries_ = partitioner_->partition(full, targets);

@@ -1,11 +1,10 @@
 // Distributed erosion domain — the erosion workload over the SPMD
 // message-passing runtime, one instance per runtime::Comm rank.
 //
-// Where ShardedDomain splits discs across in-process shards that commit
-// through ONE shared per-column weight array, DistributedDomain owns no
-// shared state at all: each rank holds exactly the column weights of its
-// contiguous stripe plus the materialized DiscStates of the discs whose
-// centers fall in that stripe. Everything that crosses a stripe boundary is
+// Where ErosionDomain steps every disc against ONE shared per-column weight
+// array, DistributedDomain owns no shared state at all: each rank holds
+// exactly the column weights of its contiguous stripe plus the materialized
+// DiscStates of the discs whose centers fall in that stripe. Everything that crosses a stripe boundary is
 // a real runtime::Mailbox message:
 //
 //   * per step, each rank sends every peer the (column, eroded-cell-count)
@@ -139,8 +138,7 @@ class DistributedDomain {
  public:
   /// Collective: every rank of `comm` constructs with the same `config`, an
   /// equivalent `partitioner`, and the same `exchange` mode. The initial
-  /// stripes are cut against the initial column weights (even targets),
-  /// exactly like ShardedDomain.
+  /// stripes are cut against the initial column weights (even targets).
   DistributedDomain(DomainConfig config, runtime::Comm& comm,
                     std::shared_ptr<const lb::Partitioner> partitioner,
                     ExchangeMode exchange = ExchangeMode::kNeighbor);

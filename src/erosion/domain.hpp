@@ -17,8 +17,8 @@
 //
 // Every step goes through the counter kernel (erosion/counter_kernel.hpp):
 // each Bernoulli draw is addressed by (disc, iteration, cell), so the one
-// trajectory of a seed is the same for every pool size, and the sharded and
-// distributed steppers reproduce it bit for bit.
+// trajectory of a seed is the same for every pool size, and the distributed
+// stepper reproduces it bit for bit.
 #pragma once
 
 #include <cstdint>

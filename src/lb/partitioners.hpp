@@ -86,7 +86,7 @@ class OptimalRatioPartitioner final : public Partitioner {
 
 /// Weight- and target-agnostic even column widths (`even_partition`) behind
 /// the Partitioner interface, so "no load balancing at all" plugs into every
-/// sweep/shard site that takes a pluggable partitioner.
+/// sweep/rank site that takes a pluggable partitioner.
 class EvenStripePartitioner final : public Partitioner {
  public:
   [[nodiscard]] StripeBoundaries partition(

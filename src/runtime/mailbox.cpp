@@ -21,10 +21,12 @@ Message Mailbox::pop(int source, int tag) {
   std::unique_lock lock(mutex_);
   decltype(queue_)::iterator it;
   cv_.wait(lock, [&] {
+    if (aborted_) return true;
     it = std::find_if(queue_.begin(), queue_.end(),
                       [&](const Message& m) { return matches(m, source, tag); });
     return it != queue_.end();
   });
+  if (aborted_) throw WorldAborted();
   Message out = std::move(*it);
   queue_.erase(it);
   return out;
@@ -44,6 +46,14 @@ bool Mailbox::try_pop(int source, int tag, Message& out) {
 std::size_t Mailbox::pending() const {
   const std::scoped_lock lock(mutex_);
   return queue_.size();
+}
+
+void Mailbox::abort() {
+  {
+    const std::scoped_lock lock(mutex_);
+    aborted_ = true;
+  }
+  cv_.notify_all();
 }
 
 }  // namespace ulba::runtime

@@ -18,6 +18,7 @@ Mailbox& World::mailbox(int rank) {
 
 void World::barrier_wait() {
   std::unique_lock lock(barrier_mutex_);
+  if (barrier_aborted_) throw WorldAborted();
   const std::uint64_t my_generation = barrier_generation_;
   if (++barrier_arrived_ == size_) {
     barrier_arrived_ = 0;
@@ -25,8 +26,19 @@ void World::barrier_wait() {
     barrier_cv_.notify_all();
     return;
   }
-  barrier_cv_.wait(lock,
-                   [&] { return barrier_generation_ != my_generation; });
+  barrier_cv_.wait(lock, [&] {
+    return barrier_aborted_ || barrier_generation_ != my_generation;
+  });
+  if (barrier_generation_ == my_generation) throw WorldAborted();
+}
+
+void World::abort() {
+  for (const auto& mailbox : mailboxes_) mailbox->abort();
+  {
+    const std::scoped_lock lock(barrier_mutex_);
+    barrier_aborted_ = true;
+  }
+  barrier_cv_.notify_all();
 }
 
 }  // namespace ulba::runtime

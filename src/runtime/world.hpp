@@ -1,6 +1,7 @@
 // The shared state of one SPMD run: the mailboxes of all ranks, a reusable
 // counting barrier, and the world-wide traffic counters every send (user
-// point-to-point AND collective-internal) reports into.
+// point-to-point AND collective-internal) reports into. abort() poisons the
+// world so no rank stays blocked waiting on one that has failed.
 #pragma once
 
 #include <atomic>
@@ -30,8 +31,13 @@ class World {
   [[nodiscard]] int size() const noexcept { return size_; }
   [[nodiscard]] Mailbox& mailbox(int rank);
 
-  /// Reusable (generation-counted) barrier across all `size` ranks.
+  /// Reusable (generation-counted) barrier across all `size` ranks. Throws
+  /// WorldAborted once abort() has been called.
   void barrier_wait();
+
+  /// Wake every rank blocked in a receive or the barrier, and make those
+  /// and all later blocking calls throw WorldAborted. Idempotent.
+  void abort();
 
   /// Account one sent message (called by Comm on every send path, internal
   /// collectives included). Relaxed atomics: the counters order nothing.
@@ -55,6 +61,7 @@ class World {
   std::condition_variable barrier_cv_;
   int barrier_arrived_ = 0;
   std::uint64_t barrier_generation_ = 0;
+  bool barrier_aborted_ = false;
 
   std::atomic<std::uint64_t> messages_{0};
   std::atomic<std::uint64_t> payload_bytes_{0};

@@ -3,15 +3,15 @@
 // `Rng` (rng.hpp) is a sequential engine: the value of draw #k depends on
 // having advanced through draws #0..k-1, so a parallel stepper drawing from
 // it would have to reproduce the serial draw ORDER to stay bit-identical
-// across thread/shard/rank counts.
+// across thread/rank counts.
 //
 // `CounterRng` removes the order dependence entirely: it is a keyed pure
 // function from a 128-bit counter to random bits (Philox4x32-10, Salmon et
 // al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11). The erosion
 // steppers key one instance per (seed, disc) and address each Bernoulli
 // draw by (iteration, cell index) — any thread may evaluate any draw at any
-// time and always gets the same value, so bit-identity across 1..N threads,
-// shards, and ranks holds by construction instead of by serialization.
+// time and always gets the same value, so bit-identity across 1..N threads
+// and ranks holds by construction instead of by serialization.
 //
 // Everything here is branch-free integer arithmetic (two 32x32->64
 // multiplies per round, ten rounds), inline in the header: a draw sits on

@@ -100,21 +100,9 @@ TEST(CliGolden, ErosionThreaded) {
   EXPECT_EQ(normalize(run_cli(base("2"))), normalize(run_cli(base("8"))));
 }
 
-TEST(CliGolden, ErosionSharded) {
-  // The sharded stepper: 4 shards cut by RCB on a 2-thread pool. The
-  // virtual-time numbers are bit-identical to the unsharded serial run (see
-  // ShardedReportMatchesSerialReport below); the golden additionally pins
-  // the sharding header and the re-shard accounting.
-  expect_matches_golden(
-      "erosion_sharded",
-      {"erosion", "--pes", "16", "--iterations", "60", "--columns-per-pe",
-       "48", "--rows", "64", "--rock-radius", "16", "--seed", "3", "--shards",
-       "4", "--partitioner", "rcb", "--threads", "2"});
-}
-
 TEST(CliGolden, ErosionDistributed) {
   // The SPMD-distributed stepper: 4 ranks, each with a 2-thread pool. The
-  // virtual-time numbers are bit-identical to the unsharded serial run (see
+  // virtual-time numbers are bit-identical to the serial run (see
   // DistributedReportMatchesSerialReport below); the golden additionally
   // pins the distributed header and the rank-migration accounting.
   expect_matches_golden(
@@ -126,8 +114,8 @@ TEST(CliGolden, ErosionDistributed) {
 
 TEST(CliGolden, ErosionCounter) {
   // Pinning the only RNG kind (--rng counter) changes nothing: the report
-  // is the default one, THE trajectory every threads/shards/ranks
-  // combination must reproduce (see CounterReportInvariantAcrossSteppers).
+  // is the default one, THE trajectory every threads/ranks combination
+  // must reproduce (see CounterReportInvariantAcrossSteppers).
   expect_matches_golden(
       "erosion", {"erosion", "--pes", "16", "--iterations", "60",
                   "--columns-per-pe", "48", "--rows", "64", "--rock-radius",
@@ -172,38 +160,8 @@ TEST(CliGolden, Instances) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition invariance at the report level: the sharded run's report equals
-// the serial run's, modulo the sharding-specific lines
+// Invariance at the report level
 // ---------------------------------------------------------------------------
-TEST(CliScenarios, ShardedReportMatchesSerialReport) {
-  const std::vector<std::string> base{
-      "erosion", "--pes",        "16", "--iterations", "60",
-      "--columns-per-pe", "48",  "--rows", "64", "--rock-radius", "16",
-      "--seed", "3"};
-  const std::string serial = run_cli(base);
-  for (const char* shards : {"2", "4", "8"}) {
-    std::vector<std::string> args = base;
-    args.insert(args.end(), {"--shards", shards});
-    const std::string sharded = run_cli(args);
-    // Strip the sharding header and the re-shard accounting block — every
-    // remaining byte (all the virtual-time numbers) must match the serial
-    // report exactly.
-    const auto strip = [](const std::string& text) {
-      std::istringstream in(text);
-      std::string line, out;
-      while (std::getline(in, line)) {
-        if (line.find("sharded stepping") != std::string::npos ||
-            line.find("re-sharding") != std::string::npos ||
-            line.find("disc move(s)") != std::string::npos || line.empty())
-          continue;
-        out += line + "\n";
-      }
-      return out;
-    };
-    EXPECT_EQ(strip(serial), strip(sharded)) << "--shards " << shards;
-  }
-}
-
 // The distributed run's report equals the serial run's, modulo the
 // distributed-specific lines — the app-level face of the determinism
 // contract (`test_distributed_erosion` locks the RunResult itself).
@@ -236,8 +194,7 @@ TEST(CliScenarios, DistributedReportMatchesSerialReport) {
 }
 
 // The counter kind's report is invariant across EVERY stepping substrate —
-// threads, shards, ranks — modulo the substrate-specific header/accounting
-// lines.
+// threads, ranks — modulo the substrate-specific header/accounting lines.
 TEST(CliScenarios, CounterReportInvariantAcrossSteppers) {
   const std::vector<std::string> base{
       "erosion", "--pes",        "16", "--iterations", "60",
@@ -248,9 +205,7 @@ TEST(CliScenarios, CounterReportInvariantAcrossSteppers) {
     std::string line, out;
     while (std::getline(in, line)) {
       if (line.find("stepping thread(s)") != std::string::npos ||
-          line.find("sharded stepping") != std::string::npos ||
           line.find("distributed stepping") != std::string::npos ||
-          line.find("re-sharding") != std::string::npos ||
           line.find("rank migration") != std::string::npos ||
           line.find("disc move(s)") != std::string::npos ||
           line.find("per-step exchange") != std::string::npos ||
@@ -267,7 +222,6 @@ TEST(CliScenarios, CounterReportInvariantAcrossSteppers) {
     return strip(run_cli(args));
   };
   EXPECT_EQ(serial, with({"--threads", "4"})) << "--threads 4";
-  EXPECT_EQ(serial, with({"--shards", "4", "--threads", "2"})) << "--shards";
   EXPECT_EQ(serial, with({"--ranks", "4", "--threads", "2"})) << "--ranks";
   EXPECT_EQ(serial, with({"--ranks", "8", "--exchange", "alltoall"}))
       << "--ranks 8 alltoall";
@@ -337,7 +291,7 @@ TEST(CliScenarios, ThreadsFlagIsValidated) {
                std::invalid_argument);
 }
 
-TEST(CliScenarios, ShardsAndPartitionerFlagsAreValidated) {
+TEST(CliScenarios, PartitionerFlagIsValidated) {
   std::ostringstream out;
   // Invalid partitioner names are rejected up front, on every subcommand
   // that takes the flag.
@@ -345,22 +299,16 @@ TEST(CliScenarios, ShardsAndPartitionerFlagsAreValidated) {
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--partitioner", "frobnicate"}, out),
                std::invalid_argument);
-  // Shard counts outside [1, 64] (and beyond the PE count) are rejected.
-  EXPECT_THROW(run({"erosion", "--shards", "0"}, out), std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--shards", "65"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--pes", "8", "--shards", "16"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"quickstart", "--shards", "-1"}, out),
+  // The removed in-process sharding flag is an unknown flag.
+  EXPECT_THROW(run({"erosion", "--shards", "2"}, out), std::invalid_argument);
+  EXPECT_THROW(run({"quickstart", "--shards", "2"}, out),
                std::invalid_argument);
   // --mt without --ranks is rejected before any stepper knob is read.
-  EXPECT_THROW(run({"erosion", "--mt", "--shards", "2"}, out),
-               std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--mt", "--partitioner", "rcb"}, out),
                std::invalid_argument);
 }
 
-TEST(CliScenarios, RanksFlagIsValidatedAndExclusive) {
+TEST(CliScenarios, RanksFlagIsValidated) {
   std::ostringstream out;
   EXPECT_THROW(run({"erosion", "--ranks", "0"}, out), std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--ranks", "65"}, out),
@@ -371,12 +319,6 @@ TEST(CliScenarios, RanksFlagIsValidatedAndExclusive) {
   // --mt measures the SPMD runtime: it needs more than one rank.
   EXPECT_THROW(run({"erosion", "--mt"}, out), std::invalid_argument);
   EXPECT_THROW(run({"erosion", "--mt", "--ranks", "1"}, out),
-               std::invalid_argument);
-  // The distributed stepper is exclusive with --shards (but composes with
-  // --mt: that combination is the measured-time distributed mode).
-  EXPECT_THROW(run({"erosion", "--shards", "2", "--ranks", "2"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"erosion", "--mt", "--shards", "2", "--ranks", "2"}, out),
                std::invalid_argument);
   // The measured-time knobs require --mt; the exchange knob requires the
   // distributed stepper; bad exchange names are rejected up front.
@@ -392,8 +334,6 @@ TEST(CliScenarios, RanksFlagIsValidatedAndExclusive) {
                    out),
                std::invalid_argument);
   EXPECT_THROW(run({"quickstart", "--ranks", "-1"}, out),
-               std::invalid_argument);
-  EXPECT_THROW(run({"quickstart", "--shards", "2", "--ranks", "2"}, out),
                std::invalid_argument);
 }
 

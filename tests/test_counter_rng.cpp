@@ -10,7 +10,7 @@
 //      other draws are taken at all.
 //   3. erosion::counter_decide_apply produces bit-identical domains for
 //      every pool size and for every partition of the disc set — the
-//      property the app-level threads/shards/ranks invariance rests on —
+//      property the app-level threads/ranks invariance rests on —
 //      and its AVX-512 decide erodes exactly the cells the scalar one does.
 #include "support/counter_rng.hpp"
 
@@ -170,11 +170,11 @@ TEST(CounterKernel, BitIdenticalForEveryPoolSize) {
 }
 
 TEST(CounterKernel, SubsetPartitioningCannotChangeTheDraws) {
-  // Stepping disc subsets through separate kernel calls (a shard's or
-  // rank's view of the domain) must reproduce the full-set pass exactly:
-  // the draw at (disc, iteration, cell) does not know which call evaluated
-  // it, as long as the GLOBAL disc ids are passed through. This is the
-  // micro-version of the ranks/shards invariance.
+  // Stepping disc subsets through separate kernel calls (a rank's view of
+  // the domain) must reproduce the full-set pass exactly: the draw at
+  // (disc, iteration, cell) does not know which call evaluated it, as long
+  // as the GLOBAL disc ids are passed through. This is the micro-version of
+  // the ranks invariance.
   support::Rng config_rng(1618);
   const DomainConfig cfg = testing::random_domain_config(config_rng);
   const std::uint64_t seed = 123;

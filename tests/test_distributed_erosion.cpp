@@ -1,5 +1,4 @@
-// Partition-invariance property suite for erosion::DistributedDomain — the
-// cross-process extension of the sharded harness (test_sharded_erosion).
+// Partition-invariance property suite for erosion::DistributedDomain.
 //
 // The load-bearing claim: for EVERY (rank count, partitioner, exchange mode,
 // per-rank thread count), stepping the domain distributed over the SPMD
@@ -151,7 +150,7 @@ TEST(DistributedErosion, CoverIsCompleteAndDisjointAcrossRanks) {
   }
 }
 
-/// One serial unsharded trajectory must be reproduced bit for bit by every
+/// One serial trajectory must be reproduced bit for bit by every
 /// (rank count, partitioner, exchange mode, per-rank pool) combination,
 /// across mid-run rebalances that migrate disc ownership as real messages.
 TEST(DistributedErosion, CounterPathBitIdenticalForEveryRankExchangePool) {
@@ -628,9 +627,9 @@ TEST(DistributedErosion, AppRunResultBitIdenticalToSerial) {
   }
 }
 
-/// App level: the serial in-process run, the sharded run, the pooled run,
-/// and the distributed run must produce ONE RunResult bit for bit.
-TEST(DistributedErosion, AppCounterKindOneResultAcrossThreadsShardsRanks) {
+/// App level: the serial in-process run, the pooled run, and the
+/// distributed run must produce ONE RunResult bit for bit.
+TEST(DistributedErosion, AppCounterKindOneResultAcrossThreadsRanks) {
   erosion::AppConfig cfg;
   cfg.pe_count = 16;
   cfg.columns_per_pe = 48;
@@ -663,10 +662,6 @@ TEST(DistributedErosion, AppCounterKindOneResultAcrossThreadsShardsRanks) {
   AppConfig threaded = cfg;
   threaded.threads = 4;
   expect_same(threaded, "threads 4");
-  AppConfig shard_cfg = cfg;
-  shard_cfg.shards = 4;
-  shard_cfg.threads = 2;
-  expect_same(shard_cfg, "shards 4, threads 2");
   for (const std::int64_t ranks : {2, 4}) {
     AppConfig dist_cfg = cfg;
     dist_cfg.ranks = ranks;
@@ -725,12 +720,8 @@ TEST(DistributedErosion, AppExchangeModesBitIdenticalNeighborCheaper) {
   }
 }
 
-TEST(DistributedErosion, AppConfigRejectsRanksShardsCombination) {
+TEST(DistributedErosion, AppConfigRejectsOutOfRangeRanks) {
   erosion::AppConfig cfg;
-  cfg.ranks = 2;
-  cfg.shards = 2;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.shards = 1;
   cfg.ranks = cfg.pe_count + 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.ranks = 0;

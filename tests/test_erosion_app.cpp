@@ -180,8 +180,6 @@ void expect_same_result(const RunResult& got, const RunResult& want,
   EXPECT_EQ(got.final_imbalance, want.final_imbalance) << what;
   EXPECT_EQ(got.lb_iterations, want.lb_iterations) << what;
   EXPECT_EQ(got.lb_alphas, want.lb_alphas) << what;
-  EXPECT_EQ(got.shard_discs_moved, want.shard_discs_moved) << what;
-  EXPECT_EQ(got.shard_migration_bytes, want.shard_migration_bytes) << what;
   EXPECT_EQ(got.rank_discs_moved, want.rank_discs_moved) << what;
   EXPECT_EQ(got.rank_migration_bytes, want.rank_migration_bytes) << what;
   EXPECT_EQ(got.rank_observed_bytes, want.rank_observed_bytes) << what;
@@ -279,8 +277,9 @@ TEST(RunAll, LockstepGroupMatchesSoloRuns) {
 }
 
 TEST(RunAll, MixedListKeepsInputOrder) {
-  // Two seeds interleaved, plus a distributed and a sharded config that
-  // run alone: every result must equal its solo run, in input order.
+  // Two seeds interleaved, plus a distributed config and a 2-thread config
+  // that each form a group of their own: every result must equal its solo
+  // run, in input order.
   std::vector<AppConfig> configs;
   for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}}) {
     for (const Method m : {Method::kStandard, Method::kUlba})
@@ -290,16 +289,16 @@ TEST(RunAll, MixedListKeepsInputOrder) {
   AppConfig distributed = small_config(Method::kUlba, 1, 1);
   distributed.ranks = 2;
   configs.insert(configs.begin() + 1, distributed);
-  AppConfig sharded = small_config(Method::kStandard, 1, 2);
-  sharded.shards = 2;
-  configs.push_back(sharded);
+  AppConfig threaded = small_config(Method::kStandard, 1, 2);
+  threaded.threads = 2;
+  configs.push_back(threaded);
 
   const std::vector<RunResult> results = run_all(configs);
   ASSERT_EQ(results.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i)
     expect_same_result(results[i], ErosionApp(configs[i]).run(),
                        "entry " + std::to_string(i));
-  // Distributed and sharded runs keep their own accounting fields.
+  // The distributed run keeps its own accounting fields.
   EXPECT_GT(results[1].rank_step_messages, 0);
   EXPECT_NE(results[0].total_seconds, results[2].total_seconds);
 }

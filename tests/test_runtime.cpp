@@ -1,10 +1,15 @@
 // The thread-backed message-passing runtime: point-to-point semantics,
-// collectives, and SPMD error propagation.
+// collectives, and SPMD error propagation, including fault injection: a rank
+// that throws while its peers block must end the run, not hang it.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/spmd.hpp"
@@ -72,6 +77,75 @@ TEST(Spmd, ExceptionFromRankPropagates) {
 TEST(Spmd, RejectsBadArguments) {
   EXPECT_THROW(spmd_run(0, [](Comm&) {}), std::invalid_argument);
   EXPECT_THROW(spmd_run(2, nullptr), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Fault injection: rank 1 throws while its peers block on it. spmd_run must
+// return (the distributed label's ctest TIMEOUT bounds a hang) and rethrow
+// rank 1's own error, not a secondary WorldAborted.
+// ---------------------------------------------------------------------------
+
+/// The message of the error spmd_run(size, body) rethrows ("" if none).
+std::string spmd_error(int size, const std::function<void(Comm&)>& body) {
+  try {
+    spmd_run(size, body);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Rank 1's injected fault. The delay lets the peers reach their blocking
+/// call first, so the abort has to wake them.
+[[noreturn]] void fail_rank_one() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  throw std::runtime_error("rank 1 failed");
+}
+
+TEST(Mailbox, AbortWakesABlockedPopAndFailsLaterOnes) {
+  Mailbox box;
+  std::atomic<bool> woke_aborted{false};
+  {
+    std::jthread waiter([&] {
+      try {
+        (void)box.pop(0, 7);
+      } catch (const WorldAborted&) {
+        woke_aborted = true;
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.abort();
+  }
+  EXPECT_TRUE(woke_aborted);
+  box.push(Message{0, 7, {std::byte{1}}});
+  EXPECT_THROW((void)box.pop(0, 7), WorldAborted);
+}
+
+TEST(SpmdAbort, FailureWakesARankBlockedInRecv) {
+  EXPECT_EQ(spmd_error(2,
+                       [](Comm& comm) {
+                         if (comm.rank() == 1) fail_rank_one();
+                         (void)comm.recv<int>(1, 7);
+                       }),
+            "rank 1 failed");
+}
+
+TEST(SpmdAbort, FailureWakesRanksBlockedInBarrier) {
+  EXPECT_EQ(spmd_error(3,
+                       [](Comm& comm) {
+                         if (comm.rank() == 1) fail_rank_one();
+                         comm.barrier();
+                       }),
+            "rank 1 failed");
+}
+
+TEST(SpmdAbort, FailureWakesRanksBlockedInAllreduce) {
+  EXPECT_EQ(spmd_error(3,
+                       [](Comm& comm) {
+                         if (comm.rank() == 1) fail_rank_one();
+                         (void)comm.allreduce(comm.rank());
+                       }),
+            "rank 1 failed");
 }
 
 TEST(PointToPoint, PingPong) {

@@ -265,6 +265,25 @@ TEST(ServeLoop, CleanShutdownWithoutQueries) {
   });
 }
 
+TEST(ServeLoop, ClientFailureEndsTheLoop) {
+  // A client that dies before it sends kTagClientDone must not leave the
+  // server blocked for it: the run ends with the client's own error.
+  try {
+    runtime::spmd_run(3, [](runtime::Comm& comm) {
+      if (comm.rank() == 0) {
+        (void)serve::serve_loop(comm, serve::ServeOptions{});
+        return;
+      }
+      serve::ScheduleClient client(comm, 0);
+      if (comm.rank() == 2) throw std::runtime_error("client 2 failed");
+      client.finish();
+    });
+    FAIL() << "spmd_run must rethrow the client's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "client 2 failed");
+  }
+}
+
 TEST(ServedSweep, EqualsSerialSweep) {
   const std::vector<std::int64_t> pin_ps{256, 512};
   constexpr std::int64_t kSamples = 9;
